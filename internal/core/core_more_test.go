@@ -120,12 +120,16 @@ func TestSortedIteratorOnEmptyMap(t *testing.T) {
 		if it.HasNext() {
 			t.Fatal("empty sorted map has next")
 		}
-		// Unbounded exhaustion takes the last lock.
+		// Unbounded exhaustion observes the last key (Table 5's last
+		// lock): one range lock over the whole, empty key space.
+		if !coversAny(tm, tx, -1<<31) || !coversAny(tm, tx, 1<<31) {
+			t.Fatal("exhausted unbounded iterator must range-lock the whole key space")
+		}
 		tm.lockGuards()
-		held := tm.sorted.lastLockers.Len()
+		held := tm.sorted.rangeLockers[0].Len()
 		tm.unlockGuards()
 		if held != 1 {
-			t.Fatal("exhausted unbounded iterator must hold the last lock")
+			t.Fatalf("exhausted unbounded iterator holds %d range locks, want 1", held)
 		}
 	})
 }

@@ -7,19 +7,23 @@ package core
 // read component (or none, for the Unread variants).
 
 import (
+	"fmt"
 	"testing"
 
 	"tcc/internal/stm"
 )
 
-// mapLockState snapshots which locks h holds on tm.
+// mapLockState snapshots which locks h holds on tm. covered lists the
+// probe keys that some range lock held by h covers: on a sorted map,
+// Table 5's first/last locks are range locks reaching the bottom/top
+// of the key space, so they show up as coverage of probes below the
+// minimum or above the maximum.
 type mapLockState struct {
 	keys       []int
 	size       bool
 	empty      bool
-	first      bool
-	last       bool
 	rangeLocks int
+	covered    []int
 }
 
 func snapshotLocks(tm *TransactionalMap[int, int], h *stm.Handle, probeKeys []int) mapLockState {
@@ -35,13 +39,32 @@ func snapshotLocks(tm *TransactionalMap[int, int], h *stm.Handle, probeKeys []in
 		}
 	}
 	if tm.sorted != nil {
-		st.first = tm.sorted.firstLockers.Holds(h)
-		st.last = tm.sorted.lastLockers.Holds(h)
 		for _, rt := range tm.sorted.rangeLockers {
 			st.rangeLocks += rt.Len()
 		}
 	}
 	return st
+}
+
+// rangeCovered returns the probe keys covered by some range lock tx
+// holds on tm.
+func rangeCovered(tm *TransactionalMap[int, int], tx *stm.Tx, probeKeys []int) []int {
+	l, ok := tx.Local(tm).(*mapLocal[int, int])
+	if !ok || tm.sorted == nil {
+		return nil
+	}
+	tm.lockGuards()
+	defer tm.unlockGuards()
+	var out []int
+	for _, k := range probeKeys {
+		for _, rl := range l.rangeLocks {
+			if rl.si == tm.StripeOf(k) && tm.sorted.rangeLockers[rl.si].Covers(rl.e, k) {
+				out = append(out, k)
+				break
+			}
+		}
+	}
+	return out
 }
 
 // assertLocks runs op inside a transaction and compares the locks held
@@ -54,6 +77,7 @@ func assertLocks(t *testing.T, name string, tm *TransactionalMap[int, int], prob
 		atomically(t, th, func(tx *stm.Tx) {
 			op(tx)
 			got := snapshotLocks(tm, tx.Handle(), probe)
+			got.covered = rangeCovered(tm, tx, probe)
 			if len(got.keys) != len(want.keys) {
 				t.Fatalf("key locks = %v, want %v", got.keys, want.keys)
 			}
@@ -68,14 +92,11 @@ func assertLocks(t *testing.T, name string, tm *TransactionalMap[int, int], prob
 			if got.empty != want.empty {
 				t.Errorf("empty lock = %v, want %v", got.empty, want.empty)
 			}
-			if got.first != want.first {
-				t.Errorf("first lock = %v, want %v", got.first, want.first)
-			}
-			if got.last != want.last {
-				t.Errorf("last lock = %v, want %v", got.last, want.last)
-			}
 			if got.rangeLocks != want.rangeLocks {
 				t.Errorf("range locks = %d, want %d", got.rangeLocks, want.rangeLocks)
+			}
+			if fmt.Sprint(got.covered) != fmt.Sprint(want.covered) {
+				t.Errorf("range-covered probes = %v, want %v", got.covered, want.covered)
 			}
 		})
 	})
@@ -210,7 +231,11 @@ func TestMapIteratorNextTakesKeyLock(t *testing.T) {
 	})
 }
 
-// TestSortedLocks asserts the Table 5 additions.
+// TestSortedLocks asserts the Table 5 additions. Table 5's first and
+// last locks are carried by range locks: an endpoint query or a scan
+// from the map's beginning holds a range lock unbounded below (first),
+// and an unbounded scan that runs dry holds one unbounded above (last).
+// An endpoint query returns no value, so it takes no key lock.
 func TestSortedLocks(t *testing.T) {
 	seeded := func() *TransactionalSortedMap[int, int] {
 		tm := newSorted()
@@ -222,19 +247,20 @@ func TestSortedLocks(t *testing.T) {
 		})
 		return tm
 	}
-	probe := []int{10, 20, 30}
+	probe := []int{5, 10, 15, 20, 25, 30, 35}
 
 	{
 		tm := seeded()
 		assertLocks(t, "firstKey", &tm.TransactionalMap, probe,
 			func(tx *stm.Tx) { tm.FirstKey(tx) },
-			mapLockState{first: true})
+			// (-inf, 10]: no other key below the minimum, 10 present.
+			mapLockState{rangeLocks: 1, covered: []int{5, 10}})
 	}
 	{
 		tm := seeded()
 		assertLocks(t, "lastKey", &tm.TransactionalMap, probe,
 			func(tx *stm.Tx) { tm.LastKey(tx) },
-			mapLockState{last: true})
+			mapLockState{rangeLocks: 1, covered: []int{30, 35}})
 	}
 	{
 		tm := seeded()
@@ -244,8 +270,9 @@ func TestSortedLocks(t *testing.T) {
 				it.Next() // returns 10
 			},
 			// Table 5: next takes "range lock over iterated values,
-			// first lock" for iteration from the beginning.
-			mapLockState{keys: []int{10}, first: true, rangeLocks: 1})
+			// first lock" for iteration from the beginning: one range
+			// lock unbounded below, through the returned key.
+			mapLockState{keys: []int{10}, rangeLocks: 1, covered: []int{5, 10}})
 	}
 	{
 		tm := seeded()
@@ -254,8 +281,8 @@ func TestSortedLocks(t *testing.T) {
 				it := tm.TailMap(15).Iterator(tx)
 				it.Next() // returns 20
 			},
-			// Bounded start: range lock only, no first lock.
-			mapLockState{keys: []int{20}, rangeLocks: 1})
+			// Bounded start: the range lock starts at the view bound.
+			mapLockState{keys: []int{20}, rangeLocks: 1, covered: []int{15, 20}})
 	}
 	{
 		tm := seeded()
@@ -266,7 +293,8 @@ func TestSortedLocks(t *testing.T) {
 					it.Next()
 				}
 			},
-			mapLockState{keys: []int{10, 20, 30}, first: true, last: true, rangeLocks: 1})
+			// The range lock spans the whole key space: first and last.
+			mapLockState{keys: []int{10, 20, 30}, rangeLocks: 1, covered: probe})
 	}
 	{
 		tm := seeded()
@@ -276,10 +304,10 @@ func TestSortedLocks(t *testing.T) {
 				for it.HasNext() {
 					it.Next()
 				}
-				// Bounded view exhaustion must not take the last lock;
-				// it pins the range to the view bound instead.
+				// Bounded view exhaustion does not reach the top of
+				// the key space; it pins the range to the view bound.
 			},
-			mapLockState{keys: []int{10, 20}, rangeLocks: 1})
+			mapLockState{keys: []int{10, 20}, rangeLocks: 1, covered: []int{10, 15, 20}})
 	}
 }
 

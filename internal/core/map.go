@@ -9,7 +9,8 @@
 //
 //   - The underlying structure is read only inside open-nested regions
 //     that also take the appropriate semantic locks (key, size, empty,
-//     range, first/last — Tables 2, 5, 8).
+//     range — Tables 2, 5, 8; a sorted map states Table 5's first/last
+//     locks as range locks).
 //   - Write operations never touch the underlying structure; they buffer
 //     into transaction-local state (storeBuffer, addBuffer — Tables 3,
 //     6, 9).
@@ -113,8 +114,6 @@ type mapLocal[K comparable, V any] struct {
 	keyLocks    map[K]struct{}
 	sizeLocked  bool
 	emptyLocked bool
-	firstLocked bool
-	lastLocked  bool
 	rangeLocks  []stripedRange[K]
 	storeBuffer map[K]*mapWrite[V]
 	// sortedKeys is Table 6's sortedStoreBuffer: for sorted maps, the
@@ -151,10 +150,10 @@ type stripedRange[K comparable] struct {
 }
 
 // sortedExt carries the extra shared state of TransactionalSortedMap
-// (Table 6): the sorted views of the wrapped shards and the range and
-// endpoint lock tables. A single-stripe sorted map has one shard and
-// one range table; a range-striped one (see sortedmap_striped.go) has
-// one of each per interval stripe, split by the boundaries slice.
+// (Table 6): the sorted views of the wrapped shards and the range lock
+// tables. A single-stripe sorted map has one shard and one range table;
+// a range-striped one (see sortedmap_striped.go) has one of each per
+// interval stripe, split by the boundaries slice.
 type sortedExt[K comparable, V any] struct {
 	// cmp is the comparator shared by every shard (captured at
 	// construction, read-only thereafter).
@@ -171,13 +170,6 @@ type sortedExt[K comparable, V any] struct {
 	// i is only ever checked against keys of stripe i, so nil bounds
 	// mean "to this stripe's edge", not the whole key space.
 	rangeLockers []*semlock.RangeTable[K]
-	// firstLockers/lastLockers are the endpoint locks of Table 5, used
-	// by the single-stripe paths only: a striped sorted map expresses
-	// endpoint observations as range+key locks laid down by the
-	// stripe-walk (walkUp/walkDown), which a committing endpoint change
-	// necessarily violates.
-	firstLockers *semlock.OwnerSet
-	lastLockers  *semlock.OwnerSet
 }
 
 // stripeFor maps k to its interval stripe: the number of boundaries at
@@ -263,8 +255,7 @@ type TransactionalMap[K comparable, V any] struct {
 	// TAPE-style analysis names District.orderTable etc.).
 	name string
 	// Precomputed violation reasons.
-	reasonKey, reasonSize, reasonEmpty   string
-	reasonRange, reasonFirst, reasonLast string
+	reasonKey, reasonSize, reasonEmpty, reasonRange string
 	// sorted is non-nil when this instance is a TransactionalSortedMap.
 	sorted *sortedExt[K, V]
 }
@@ -363,8 +354,6 @@ func (tm *TransactionalMap[K, V]) SetName(name string) {
 	tm.reasonSize = name + ": size conflict"
 	tm.reasonEmpty = name + ": emptiness conflict"
 	tm.reasonRange = name + ": range conflict"
-	tm.reasonFirst = name + ": first-key conflict"
-	tm.reasonLast = name + ": last-key conflict"
 }
 
 // Name returns the label set by SetName.
@@ -396,11 +385,6 @@ func (tm *TransactionalMap[K, V]) StripeOf(k K) int {
 func (tm *TransactionalMap[K, V]) StripeGuard(k K) *stm.Guard {
 	return tm.stripes[tm.StripeOf(k)].guard
 }
-
-// guard0 returns stripe 0's guard: the instance guard of the
-// single-stripe sorted map, whose order-dependent code paths all
-// serialize on it.
-func (tm *TransactionalMap[K, V]) guard0() *stm.Guard { return tm.stripes[0].guard }
 
 // lockGuards locks every stripe guard, in ascending guard-id order
 // (slice order; see the stripes field). Whole-map snapshots need all
@@ -755,38 +739,11 @@ func (tm *TransactionalMap[K, V]) deltaLocked(l *mapLocal[K, V]) int {
 // plus the buffer's delta. It takes the size lock on every stripe, so
 // any committing transaction that changes any stripe's size aborts this
 // one (Table 2's "size conflicts with any insert or remove").
-//
-// The stripes are scanned one at a time — lock the stripe guard,
-// register in its size-lock table, read its committed size, unlock —
-// rather than under all guards at once. The sum is still serializable:
-// a writer committing between two of the scan's steps sweeps the
-// size-lock tables of every stripe it changes, and this transaction is
-// already registered in the stripes it has passed, so any commit that
-// could have torn the sum also violates this transaction, which then
-// cannot commit (the same opacity-by-violation argument as the paper's
-// open-nested reads).
 func (tm *TransactionalMap[K, V]) Size(tx *stm.Tx) int {
 	if tx.IsSnapshot() {
 		return tm.snapshotSize(tx)
 	}
-	l := tm.local(tx)
-	tm.touchAll(tx, l)
-	n := 0
-	_ = tx.Open(func(o *stm.Tx) error {
-		h := o.Handle()
-		for si, st := range tm.stripes {
-			st.guard.Lock()
-			st.sizeLockers.Lock(h)
-			tm.resolveBlindStripeLocked(st, si, l, h)
-			n += st.m.Size()
-			st.guard.Unlock()
-		}
-		l.sizeLocked = true
-		n += tm.deltaLocked(l)
-		return nil
-	})
-	tx.Thread().Clock.Tick(tm.opCost)
-	return n
+	return tm.lockedSize(tx, false)
 }
 
 // IsEmpty reports whether the map is empty. As the paper's §5.1
@@ -803,24 +760,56 @@ func (tm *TransactionalMap[K, V]) IsEmpty(tx *stm.Tx) bool {
 	if tm.isEmptyViaSize || tx.IsSnapshot() {
 		return tm.Size(tx) == 0
 	}
+	return tm.lockedSize(tx, true) == 0
+}
+
+// lockedSize returns the size seen by tx, registering in every stripe's
+// size lock set — or, for emptyOnly (IsEmpty), its empty-transition set.
+//
+// The stripes are scanned one at a time — lock the stripe guard,
+// register in its lock set, read its committed size, unlock — rather
+// than under all guards at once. The sum is still serializable: a
+// writer committing between two of the scan's steps sweeps the lock
+// sets of every stripe it changes, and this transaction is already
+// registered in the stripes it has passed, so any commit that could
+// have torn the sum also violates this transaction, which then cannot
+// commit (the same opacity-by-violation argument as the paper's
+// open-nested reads).
+func (tm *TransactionalMap[K, V]) lockedSize(tx *stm.Tx, emptyOnly bool) int {
 	l := tm.local(tx)
 	tm.touchAll(tx, l)
 	n := 0
 	_ = tx.Open(func(o *stm.Tx) error {
 		h := o.Handle()
 		for si, st := range tm.stripes {
-			st.guard.Lock()
-			st.emptyLockers.Lock(h)
-			tm.resolveBlindStripeLocked(st, si, l, h)
-			n += st.m.Size()
-			st.guard.Unlock()
+			n += tm.lockedStripeSize(st, si, l, h, emptyOnly)
 		}
-		l.emptyLocked = true
+		if emptyOnly {
+			l.emptyLocked = true
+		} else {
+			l.sizeLocked = true
+		}
 		n += tm.deltaLocked(l)
 		return nil
 	})
 	tx.Thread().Clock.Tick(tm.opCost)
-	return n == 0
+	return n
+}
+
+// lockedStripeSize is one step of lockedSize's scan: under stripe si's
+// guard (released by defer, so a panicking comparator cannot leak it),
+// register h in the stripe's size or empty lock set, resolve the blind
+// writes that land in it, and return its committed size.
+func (tm *TransactionalMap[K, V]) lockedStripeSize(st *mapStripe[K, V], si int, l *mapLocal[K, V], h semlock.Owner, emptyOnly bool) int {
+	st.guard.Lock()
+	defer st.guard.Unlock()
+	if emptyOnly {
+		st.emptyLockers.Lock(h)
+	} else {
+		st.sizeLockers.Lock(h)
+	}
+	tm.resolveBlindStripeLocked(st, si, l, h)
+	return st.m.Size()
 }
 
 // applyLocked is the commit handler's body: apply the buffer to the
@@ -836,15 +825,6 @@ func (tm *TransactionalMap[K, V]) applyLocked(l *mapLocal[K, V], h semlock.Owner
 				oldSizes[si] = st.m.Size()
 			}
 		}
-	}
-	var oldFirst, oldLast *K
-	// Endpoint (first/last) sweeps exist only on the single-stripe
-	// sorted map: a range-striped one expresses endpoint observations
-	// as the range+key locks laid down by walkUp/walkDown, which the
-	// per-key range sweep below already violates.
-	sweepEndpoints := tm.sorted != nil && len(tm.stripes) == 1
-	if sweepEndpoints && len(l.storeBuffer) > 0 {
-		oldFirst, oldLast = tm.endpointsLocked()
 	}
 	// mon gates the per-stripe violation counters: one atomic load for
 	// the whole sweep, then atomic-only Adds (the window discipline).
@@ -893,43 +873,7 @@ func (tm *TransactionalMap[K, V]) applyLocked(l *mapLocal[K, V], h semlock.Owner
 			}
 		}
 	}
-	if sweepEndpoints && len(l.storeBuffer) > 0 {
-		n := 0
-		newFirst, newLast := tm.endpointsLocked()
-		if !tm.sameKey(oldFirst, newFirst) {
-			n += tm.sorted.firstLockers.ViolateOthers(h, tm.reasonFirst)
-		}
-		if !tm.sameKey(oldLast, newLast) {
-			n += tm.sorted.lastLockers.ViolateOthers(h, tm.reasonLast)
-		}
-		if mon && n > 0 {
-			tm.stripes[0].violations.Add(uint64(n))
-		}
-	}
 	tm.releaseLocked(l, h)
-}
-
-// endpointsLocked returns the committed first and last keys (nil when
-// the map is empty). Caller holds the instance guard; only valid for
-// sorted maps (single-stripe).
-func (tm *TransactionalMap[K, V]) endpointsLocked() (first, last *K) {
-	if f, ok := tm.sorted.sms[0].FirstKey(); ok {
-		first = &f
-	}
-	if lst, ok := tm.sorted.sms[0].LastKey(); ok {
-		last = &lst
-	}
-	return
-}
-
-func (tm *TransactionalMap[K, V]) sameKey(a, b *K) bool {
-	if (a == nil) != (b == nil) {
-		return false
-	}
-	if a == nil {
-		return true
-	}
-	return tm.sorted.cmp(*a, *b) == 0
 }
 
 // releaseLocked releases every semantic lock held by this transaction
@@ -956,12 +900,6 @@ func (tm *TransactionalMap[K, V]) releaseLocked(l *mapLocal[K, V], h semlock.Own
 		for _, rl := range l.rangeLocks {
 			tm.sorted.rangeLockers[rl.si].Remove(rl.e)
 		}
-		if l.firstLocked {
-			tm.sorted.firstLockers.Unlock(h)
-		}
-		if l.lastLocked {
-			tm.sorted.lastLockers.Unlock(h)
-		}
 	}
 	l.keyLocks = make(map[K]struct{})
 	l.storeBuffer = make(map[K]*mapWrite[V])
@@ -969,5 +907,5 @@ func (tm *TransactionalMap[K, V]) releaseLocked(l *mapLocal[K, V], h semlock.Own
 		l.sortedKeys.Clear()
 	}
 	l.rangeLocks = nil
-	l.sizeLocked, l.emptyLocked, l.firstLocked, l.lastLocked = false, false, false, false
+	l.sizeLocked, l.emptyLocked = false, false
 }

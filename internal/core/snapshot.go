@@ -17,6 +17,9 @@ import (
 //   - Size/IsEmpty/Iterator pin every stripe guard at once
 //     (lockGuards), so a whole-map answer can never observe half of a
 //     multi-stripe commit.
+//   - A sorted map's FirstKey/LastKey and CeilingKey family read the
+//     committed shards under the stripe span they can reach
+//     (sortedmap_striped.go), on every layout.
 //
 // Consistency caveat: unlike stm.Var reads — which the snapshot path
 // serializes at one read version via the per-var history chain — the

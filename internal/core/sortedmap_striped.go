@@ -1,23 +1,26 @@
 package core
 
-// Range-striped TransactionalSortedMap (DESIGN.md §4.5). Hash-striping
-// keys would force every iterator and navigation query to visit every
-// stripe, so the sorted map partitions the *key space* instead:
-// contiguous intervals, split by an immutable boundary vector, each
-// interval fusing its own guard, sorted shard, key-lock table and
-// range-lock table. Point operations (Get/Put/Remove) land on one
-// interval stripe exactly like the hash-striped map; order-dependent
+// Range-striped TransactionalSortedMap and the stripe walk (DESIGN.md
+// §4.5). Hash-striping keys would force every iterator and navigation
+// query to visit every stripe, so the sorted map partitions the *key
+// space* instead: contiguous intervals, split by an immutable boundary
+// vector, each interval fusing its own guard, sorted shard, key-lock
+// table and range-lock table. Point operations (Get/Put/Remove) land on
+// one interval stripe exactly like the hash-striped map; order-dependent
 // operations walk stripes one at a time, in interval order, laying a
-// chain of per-stripe range locks that together cover exactly what the
-// single-stripe implementation's one range lock would have covered:
+// chain of per-stripe range locks that together cover exactly the gap
+// the operation observed. The walk is the sorted map's only protocol: a
+// single-stripe map (NewTransactionalSortedMap) is its one-interval
+// case, where every chain is one entry.
 //
 //   - CeilingKey(k) = r: a [k, r] entry when both lie in one stripe;
 //     otherwise [k, edge) in k's stripe, whole-interval entries in the
 //     empty stripes crossed, and [edge, r] in r's stripe.
 //   - FirstKey/LastKey: a walk from the bottom (top) of the key space —
-//     endpoint locks (Table 5's first/last) become "the ranges below
-//     (above) the answer are empty", which any endpoint-changing commit
-//     necessarily violates via the ordinary per-stripe range sweep.
+//     Table 5's first/last locks become "the ranges below (above) the
+//     answer, and the answer itself, hold no other key", which any
+//     endpoint-changing commit necessarily violates via the ordinary
+//     per-stripe range sweep.
 //   - Iterators keep one widening entry per stripe entered, so a scan
 //     confined to one interval holds exactly one stripe's locks.
 //
@@ -58,35 +61,12 @@ func NewRangeStripedTransactionalSortedMap[K comparable, V any](newShard func() 
 	}
 	bs = bs[:n-1]
 
-	t := &TransactionalSortedMap[K, V]{
-		TransactionalMap: TransactionalMap[K, V]{
-			stripes: make([]*mapStripe[K, V], n),
-			opCost:  DefaultOpCost,
-		},
+	sms := make([]collections.SortedMap[K, V], n)
+	sms[0] = first
+	for i := 1; i < n; i++ {
+		sms[i] = newShard()
 	}
-	if n > 1 {
-		t.mask = uint64(n - 1)
-	}
-	ext := &sortedExt[K, V]{
-		cmp:          cmp,
-		sms:          make([]collections.SortedMap[K, V], n),
-		boundaries:   bs,
-		rangeLockers: make([]*semlock.RangeTable[K], n),
-		firstLockers: semlock.NewOwnerSet(),
-		lastLockers:  semlock.NewOwnerSet(),
-	}
-	for i := range t.stripes {
-		sm := first
-		if i > 0 {
-			sm = newShard()
-		}
-		t.stripes[i] = newMapStripe[K, V](sm)
-		ext.sms[i] = sm
-		ext.rangeLockers[i] = semlock.NewRangeTable[K](cmp)
-	}
-	t.sorted = ext
-	t.SetName("sortedmap")
-	return t
+	return newSortedMap(sms, bs)
 }
 
 // dedupeSorted removes adjacent duplicates from a cmp-sorted slice.
@@ -255,7 +235,13 @@ func (t *TransactionalSortedMap[K, V]) mergedFloorInStripe(l *mapLocal[K, V], si
 // place), and leaves a range-lock entry in that stripe's table: the
 // probed gap plus the result in the stripe that answers, the whole
 // scanned interval in stripes observed empty. Together the chain locks
-// exactly the gap+result the single-stripe navigateUp would have.
+// exactly the observed gap plus the result.
+//
+// A navigation query (from != nil) also key-locks its result. An
+// endpoint walk (from == nil) does not: its closed entry (-inf, r]
+// already catches r leaving, and FirstKey returns no value, so a
+// commit that only updates r's value commutes with it — exactly Table
+// 5's first lock.
 func (t *TransactionalSortedMap[K, V]) walkUp(tx *stm.Tx, from *K, strict bool) (K, bool) {
 	l := t.local(tx)
 	start := 0
@@ -282,7 +268,9 @@ func (t *TransactionalSortedMap[K, V]) walkUp(tx *stm.Tx, from *K, strict bool) 
 			if r, ok := t.mergedCeilingInStripe(l, si, k, strict); ok {
 				rr := r
 				e.Hi = &rr
-				t.lockKeyLocked(l, h, rr)
+				if from != nil {
+					t.lockKeyLocked(l, h, rr)
+				}
 				res, found = rr, true
 			}
 			// Not found: e.Hi stays nil — the stripe's whole remaining
@@ -297,7 +285,8 @@ func (t *TransactionalSortedMap[K, V]) walkUp(tx *stm.Tx, from *K, strict bool) 
 
 // walkDown is the descending mirror of walkUp (FloorKey/LowerKey/
 // LastKey): stripes are probed downward from *from's interval (or the
-// top), one guard at a time.
+// top), one guard at a time, and only a navigation query key-locks its
+// result.
 func (t *TransactionalSortedMap[K, V]) walkDown(tx *stm.Tx, from *K, strict bool) (K, bool) {
 	l := t.local(tx)
 	start := len(t.stripes) - 1
@@ -324,7 +313,9 @@ func (t *TransactionalSortedMap[K, V]) walkDown(tx *stm.Tx, from *K, strict bool
 			if r, ok := t.mergedFloorInStripe(l, si, k, strict); ok {
 				rr := r
 				e.Lo = &rr
-				t.lockKeyLocked(l, h, rr)
+				if from != nil {
+					t.lockKeyLocked(l, h, rr)
+				}
 				res, found = rr, true
 			}
 			t.addRangeLock(l, si, e)
@@ -335,13 +326,13 @@ func (t *TransactionalSortedMap[K, V]) walkDown(tx *stm.Tx, from *K, strict bool
 	return res, found
 }
 
-// advanceStriped is the range-striped body of SortedIterator.advance:
-// the scan keeps one widening range-lock entry per stripe entered
-// (it.slocks), positioned by it.si, and probes the current stripe
-// under its guard alone. Exhausting a stripe pins its entry to the
-// view bound (when the bound lies in that stripe) or extends it to the
-// stripe's upper edge and moves on.
-func (it *SortedIterator[K, V]) advanceStriped() (K, V, bool) {
+// advance finds the next live merged key after it.last (or from it.lo),
+// locking and recording it. The scan keeps one widening range-lock
+// entry per stripe entered (it.slocks), positioned by it.si, and
+// probes the current stripe under its guard alone. Exhausting a stripe
+// pins its entry to the view bound (when the bound lies in that
+// stripe) or extends it to the stripe's upper edge and moves on.
+func (it *SortedIterator[K, V]) advance() (K, V, bool) {
 	t, l := it.t, it.l
 	n := len(t.stripes)
 	var outK K
@@ -410,9 +401,10 @@ func (it *SortedIterator[K, V]) advanceStriped() (K, V, bool) {
 	return outK, outV, found
 }
 
-// snapshotFirstKey answers FirstKey for a snapshot transaction on a
-// range-striped map: the committed minimum, read with every stripe
-// guard held so a multi-stripe commit is seen entirely or not at all.
+// snapshotFirstKey answers FirstKey for a snapshot transaction: the
+// committed minimum, read with every stripe guard held so a
+// multi-stripe commit is seen entirely or not at all. Like snapshotGet
+// it answers per operation (DESIGN.md §4.4) on every layout.
 func (t *TransactionalSortedMap[K, V]) snapshotFirstKey(tx *stm.Tx) (K, bool) {
 	var res K
 	var ok bool

@@ -106,38 +106,80 @@ func TestRangeStripedSortedMapBasics(t *testing.T) {
 }
 
 // TestRangeStripedSingleStripeEquivalence: a 1-stripe range-striped map
-// must behave exactly like NewTransactionalSortedMap (the acceptance
-// criterion's behavioral-identity clause), including endpoint locks.
+// must behave exactly like NewTransactionalSortedMap — both are the
+// one-interval case of the stripe walk, so an endpoint observation is
+// one range lock reaching the bottom of the key space, with no key lock
+// on the answer.
 func TestRangeStripedSingleStripeEquivalence(t *testing.T) {
-	tm := newRangeStripedIntSortedMap(1)
-	if tm.Stripes() != 1 || tm.mask != 0 {
-		t.Fatalf("1-stripe map: stripes=%d mask=%d", tm.Stripes(), tm.mask)
-	}
-	th := newTh(1)
-	atomically(t, th, func(tx *stm.Tx) {
-		tm.Put(tx, 1, 10)
-		tm.Put(tx, 2, 20)
-	})
-	atomically(t, th, func(tx *stm.Tx) {
-		if k, ok := tm.FirstKey(tx); !ok || k != 1 {
-			t.Fatalf("FirstKey = (%d,%v)", k, ok)
-		}
-	})
-	// Single-stripe endpoint observations go through the first/last
-	// OwnerSets, exactly like the plain sorted map.
-	h := stm.NewThread(&stm.RealClock{}, 2)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = h.Atomic(func(tx *stm.Tx) error {
-			tm.FirstKey(tx)
-			if tx.Attempt() == 0 && !tm.sorted.firstLockers.Holds(tx.Handle()) {
-				t.Error("single-stripe FirstKey did not take the first lock")
+	for name, tm := range map[string]*TransactionalSortedMap[int, int]{
+		"range-striped-1": newRangeStripedIntSortedMap(1),
+		"wrapper":         newSorted(),
+	} {
+		t.Run(name, func(t *testing.T) {
+			if tm.Stripes() != 1 || tm.mask != 0 {
+				t.Fatalf("1-stripe map: stripes=%d mask=%d", tm.Stripes(), tm.mask)
 			}
-			return nil
+			th := newTh(1)
+			atomically(t, th, func(tx *stm.Tx) {
+				tm.Put(tx, 1, 10)
+				tm.Put(tx, 2, 20)
+			})
+			atomically(t, newTh(2), func(tx *stm.Tx) {
+				if k, ok := tm.FirstKey(tx); !ok || k != 1 {
+					t.Fatalf("FirstKey = (%d,%v)", k, ok)
+				}
+				if !coversAny(tm, tx, -5) || !coversAny(tm, tx, 1) || coversAny(tm, tx, 2) {
+					t.Error("FirstKey must range-lock exactly (-inf, 1]")
+				}
+				tm.lockGuards()
+				keyLocked := tm.stripes[0].key2lockers.Locked(1)
+				tm.unlockGuards()
+				if keyLocked {
+					t.Error("FirstKey must not key-lock its answer")
+				}
+			})
 		})
-	}()
-	<-done
+	}
+}
+
+// TestEndpointValueUpdateCommutes adds Table 4's value-update cells: an
+// endpoint query returns a key, not a value, so a commit that only
+// changes the endpoint's value commutes with it. Both layouts run the
+// same walk; on the 8-stripe map the endpoints sit in non-zero stripes
+// (20 in stripe 2, 40 in stripe 5), so the walk crosses empty stripes
+// before it answers.
+func TestEndpointValueUpdateCommutes(t *testing.T) {
+	layouts := []struct {
+		name string
+		new  func() *TransactionalSortedMap[int, int]
+	}{
+		{"1-stripe", newSorted},
+		{"8-stripe", func() *TransactionalSortedMap[int, int] { return newRangeStripedIntSortedMap(8) }},
+	}
+	for _, lay := range layouts {
+		seed := func(tm *TransactionalSortedMap[int, int]) func(tx *stm.Tx) {
+			return func(tx *stm.Tx) {
+				tm.Put(tx, 20, 20)
+				tm.Put(tx, 40, 40)
+			}
+		}
+		{
+			tm := lay.new()
+			expectConflict(t, lay.name+"/firstKey/put-min-value", false,
+				seed(tm),
+				func(tx *stm.Tx) { tm.FirstKey(tx) },
+				func(tx *stm.Tx) { tm.Put(tx, 20, 21) },
+			)
+		}
+		{
+			tm := lay.new()
+			expectConflict(t, lay.name+"/lastKey/put-max-value", false,
+				seed(tm),
+				func(tx *stm.Tx) { tm.LastKey(tx) },
+				func(tx *stm.Tx) { tm.Put(tx, 40, 41) },
+			)
+		}
+	}
 }
 
 // TestRangeStripedDisjointRangeHandlerWindowsOverlap is the tentpole's

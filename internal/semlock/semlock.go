@@ -62,8 +62,8 @@ func recycleSweep(buf []Owner) []Owner {
 	return buf[:0]
 }
 
-// OwnerSet is a single abstract lock — the size lock, the empty lock,
-// or a first/last endpoint lock — held by any number of readers.
+// OwnerSet is a single abstract lock — the size lock or the empty
+// lock — held by any number of readers.
 type OwnerSet struct {
 	owners map[Owner]struct{}
 	sweep  []Owner // recycled violation-sweep scratch (see recycleSweep)

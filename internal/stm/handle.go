@@ -53,7 +53,9 @@ func (s Status) String() string {
 type Handle struct {
 	status atomic.Int32
 	// reason records why the transaction was violated, for diagnostics.
-	reason atomic.Value // string
+	// The first violator publishes it before any status CAS, so a
+	// victim that observes StatusViolated always finds it set.
+	reason atomic.Pointer[string]
 	// id is a process-global unique identity assigned when the attempt
 	// begins. Semantic lock tables violate conflicting owners in
 	// ascending id order, so violation order — and hence trace order —
@@ -88,19 +90,31 @@ func (h *Handle) ID() uint64 { return h.id }
 // or at its pre-commit check and rolls itself back. The return value
 // reports whether the victim will abort: false means the victim already
 // serialized (Prepared/Committed) or is gone, and no conflict exists.
+//
+// The reason is published before the status moves: the first violator
+// to reach the handle claims the reason slot, then every
+// violator races the one Active→Violated CAS. Whoever wins that CAS,
+// the status flips only after a reason is in place, so the victim —
+// which acts on the status alone — always reads the claimed reason.
 func (h *Handle) Violate(reason string) bool {
+	if h.reason.Load() == nil {
+		r := reason
+		h.reason.CompareAndSwap(nil, &r)
+	}
 	if h.status.CompareAndSwap(int32(StatusActive), int32(StatusViolated)) {
-		h.reason.Store(reason)
 		return true
 	}
 	return Status(h.status.Load()) == StatusViolated
 }
 
-// ViolationReason returns the reason recorded by the successful Violate
-// call, or "" if the transaction was never violated.
+// ViolationReason returns the reason of the violator that claimed this
+// transaction, or "" if no violator ever reached it. It is meaningful
+// once the status is StatusViolated: a violator that lost the race to
+// the point of no return may leave a reason behind on a handle that
+// went on to commit.
 func (h *Handle) ViolationReason() string {
-	if r, ok := h.reason.Load().(string); ok {
-		return r
+	if r := h.reason.Load(); r != nil {
+		return *r
 	}
 	return ""
 }

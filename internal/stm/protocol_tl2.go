@@ -42,10 +42,19 @@ func (tl2Protocol) abandonLevel(tx *Tx, l *level) {}
 // tl2Read samples c without locking and validates the version against
 // tx's snapshot, extending the snapshot when possible. Shared with the
 // eager variant, whose read side is identical.
+//
+// After an extension c is sampled again: the first sample predates the
+// new read version, and a commit that drew a write version at or below
+// it may have locked c since. Keeping the old sample would pair a stale
+// c with newer values of the variables read next (a torn read that
+// TestInstallConsistencyStress catches).
 func tl2Read(tx *Tx, c *varCore) any {
 	val, ver := c.sample(tx)
-	if ver > tx.readVersion && !tl2Extend(tx) {
-		tx.bail(sigRetry, "stale read")
+	for ver > tx.readVersion {
+		if !tl2Extend(tx) {
+			tx.bail(sigRetry, "stale read")
+		}
+		val, ver = c.sample(tx)
 	}
 	tx.cur.reads.put(c, ver, nil)
 	return val

@@ -326,6 +326,7 @@ func (t *Thread) snapshotRead(fn func(tx *Tx) error) (error, bool) {
 	}
 	for restart := 0; restart < maxSnapshotRestarts; restart++ {
 		t.Clock.Tick(CostTxBegin)
+		h.reason.Store(nil)
 		h.status.Store(int32(StatusActive))
 		h.birth = t.Clock.Now()
 		tx.thread = t
@@ -474,8 +475,14 @@ func (t *Thread) retryLoop(fn func(tx *Tx) error) error {
 				t.putTx(tx)
 				return nil
 			}
+			// A failed commit is a violation exactly when the handle
+			// reached StatusViolated (a violator won the race to the
+			// point of no return); the status is sampled before
+			// rollback moves it to Aborted.
+			violated := tx.handle.violated()
 			tx.rollback()
-			if reason := tx.handle.ViolationReason(); reason != "" {
+			if violated {
+				reason := tx.handle.ViolationReason()
 				t.Stats.countViolation(reason)
 				if tx.mon {
 					mViolations.AddLane(t.TraceID, 1)

@@ -704,7 +704,9 @@ func runBody(fn func() error) (err error, sig *signal) {
 }
 
 // runTx executes fn(tx) like runBody, without allocating an adapter
-// closure on the retry path.
+// closure on the retry path. A real panic is re-raised only after the
+// attempt it escapes has been unwound (unwindPanic), so a panicking
+// body leaks no semantic lock, guard or lockword.
 func runTx(fn func(*Tx) error, tx *Tx) (err error, sig *signal) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -712,11 +714,35 @@ func runTx(fn func(*Tx) error, tx *Tx) (err error, sig *signal) {
 				sig = s
 				return
 			}
+			tx.unwindPanic()
 			panic(r)
 		}
 	}()
 	err = fn(tx)
 	return
+}
+
+// unwindPanic rolls back the attempt a real panic is escaping from. An
+// open-nested child only releases what the protocol holds for it: it
+// never committed, so none of its effects or handlers reached the
+// parent, and the panic goes on through the parent's runTx, which
+// unwinds the parent in turn. A top-level attempt rolls back like any
+// aborted one — its abort handlers run under their guards, releasing
+// every semantic lock and compensating every open-nested effect — and
+// is counted as a user abort. Panics from commit handlers never pass
+// through here.
+func (tx *Tx) unwindPanic() {
+	t := tx.thread
+	if tx.outer != nil {
+		t.proto.abandon(tx)
+		return
+	}
+	tx.rollback()
+	t.Stats.UserAborts++
+	if tx.mon {
+		mUserAborts.Add(1)
+	}
+	tx.emitRollback(obs.KindTxUserAbort, "panic")
 }
 
 // commit attempts the top-level TL2 commit: acquire the transaction's

@@ -23,6 +23,9 @@ go vet ./...
 echo "== go test -race ./..."
 go test -race ./...
 
+echo "== perfbench tests (its own module, outside ./...)"
+(cd perfbench && go test ./...)
+
 echo "== stmlint -json -timing ./... (empty-baseline gate)"
 # Per-rule timing goes to stderr (visible above); the JSON report is
 # captured and must contain zero diagnostics — the baseline is empty,
@@ -48,7 +51,13 @@ go test -run 'TestStripedDisjointKeyHandlerWindowsOverlap|TestStripedMapConflict
 go run ./cmd/tccbench -fig 5 -ops 64 -cpus 1,2 >/dev/null
 
 echo "== striped-sortedmap + segmented-queue smoke (disjoint windows overlap, all protocols)"
-go test -run 'TestRangeStripedDisjointRangeHandlerWindowsOverlap|TestRangeStripedScanSerializability|TestSegmentedQueueDisjointLaneHandlerWindowsOverlap|TestSegmentedQueueLaneFIFO|TestStripedStructuresAcrossProtocols' \
+go test -run 'TestRangeStripedDisjointRangeHandlerWindowsOverlap|TestRangeStripedScanSerializability|TestSegmentedQueueDisjointLaneHandlerWindowsOverlap|TestSegmentedQueueLaneFIFO|TestStripedStructuresAcrossProtocols|TestEndpointValueUpdateCommutes' \
+  -count=1 ./internal/core >/dev/null
+
+echo "== unwind smoke (violation reasons race-free, panics release locks, all protocols)"
+go test -race -run 'TestViolationRaceAttribution|TestPanicUnwindsAttempt' \
+  -count=1 ./internal/stm >/dev/null
+go test -race -run 'TestPanicReleasesSemanticLocks|TestComparatorPanicReleasesGuard' \
   -count=1 ./internal/core >/dev/null
 
 echo "== tccbench smoke (figure 1, tiny config)"
