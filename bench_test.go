@@ -770,3 +770,154 @@ func BenchmarkJBBDistrictSensitivity(b *testing.B) {
 	b.ReportMetric(open1/open10, "openDistrictGain")
 	b.ReportMetric(trans1/trans10, "transDistrictGain")
 }
+
+// --- Layer-by-layer cost ladder --------------------------------------
+
+// ladderKeys is the key space every ladder rung is prepopulated with;
+// Get reads and Put overwrites present keys, so no rung's wrapped
+// structure allocates a node.
+const ladderKeys = 1024
+
+// ladderSink keeps the rung-1 Get from being optimized away.
+var ladderSink int
+
+// BenchmarkLadder measures one Get and one Put at each rung of the
+// stack, so each rung's cost over the one below it is visible in ns/op
+// and allocs/op:
+//
+//  1. the plain collection (collections.HashMap);
+//  2. the STM-only collection (stmcol.HashMap) inside Thread.Atomic;
+//  3. the transactional collection class on one stripe
+//     (NewTransactionalMap): open-nested key locks, buffered writes and
+//     the guarded commit handler;
+//  4. the same on 16 stripes (NewStripedTransactionalMap): key hashing
+//     to a stripe and a one-stripe guard footprint;
+//  5. the striped map under contention: GOMAXPROCS×4 goroutines, each
+//     with its own thread, on 8 hot keys, so Puts violate each other
+//     and Gets share key locks and stripe guards.
+func BenchmarkLadder(b *testing.B) {
+	b.Run("1-collections/Get", func(b *testing.B) {
+		m := collections.NewHashMap[int, int]()
+		for i := 0; i < ladderKeys; i++ {
+			m.Put(i, i)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ladderSink, _ = m.Get(i & (ladderKeys - 1))
+		}
+	})
+	b.Run("1-collections/Put", func(b *testing.B) {
+		m := collections.NewHashMap[int, int]()
+		for i := 0; i < ladderKeys; i++ {
+			m.Put(i, i)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ladderSink, _ = m.Put(i&(ladderKeys-1), i)
+		}
+	})
+	b.Run("2-stmcol/Get", func(b *testing.B) {
+		m := stmcol.NewHashMap[int, int]()
+		th := stm.NewThread(&stm.RealClock{}, 1)
+		_ = th.Atomic(func(tx *stm.Tx) error {
+			for i := 0; i < ladderKeys; i++ {
+				m.Put(tx, i, i)
+			}
+			return nil
+		})
+		ladderSerial(b, th, func(tx *stm.Tx, k int) { m.Get(tx, k) })
+	})
+	b.Run("2-stmcol/Put", func(b *testing.B) {
+		m := stmcol.NewHashMap[int, int]()
+		th := stm.NewThread(&stm.RealClock{}, 1)
+		_ = th.Atomic(func(tx *stm.Tx) error {
+			for i := 0; i < ladderKeys; i++ {
+				m.Put(tx, i, i)
+			}
+			return nil
+		})
+		ladderSerial(b, th, func(tx *stm.Tx, k int) { m.Put(tx, k, k) })
+	})
+	oneStripe := func() *core.TransactionalMap[int, int] {
+		return core.NewTransactionalMap[int, int](collections.NewHashMap[int, int]())
+	}
+	striped := func() *core.TransactionalMap[int, int] {
+		return core.NewStripedTransactionalMap[int, int](func() collections.Map[int, int] {
+			return collections.NewHashMap[int, int]()
+		}, 16)
+	}
+	for _, rung := range []struct {
+		name string
+		tm   func() *core.TransactionalMap[int, int]
+	}{{"3-core-1stripe", oneStripe}, {"4-core-striped", striped}} {
+		b.Run(rung.name+"/Get", func(b *testing.B) {
+			tm, th := ladderMap(rung.tm())
+			ladderSerial(b, th, func(tx *stm.Tx, k int) { tm.Get(tx, k) })
+		})
+		b.Run(rung.name+"/Put", func(b *testing.B) {
+			tm, th := ladderMap(rung.tm())
+			ladderSerial(b, th, func(tx *stm.Tx, k int) { tm.Put(tx, k, k) })
+		})
+	}
+	b.Run("5-core-striped-contended/Get", func(b *testing.B) {
+		tm, _ := ladderMap(striped())
+		ladderContended(b, func(tx *stm.Tx, k int) { tm.Get(tx, k) })
+	})
+	b.Run("5-core-striped-contended/Put", func(b *testing.B) {
+		tm, _ := ladderMap(striped())
+		ladderContended(b, func(tx *stm.Tx, k int) { tm.Put(tx, k, k) })
+	})
+}
+
+// ladderMap prepopulates tm with the ladder keys and returns it with a
+// thread that has already run a transaction on it.
+func ladderMap(tm *core.TransactionalMap[int, int]) (*core.TransactionalMap[int, int], *stm.Thread) {
+	th := stm.NewThread(&stm.RealClock{}, 1)
+	_ = th.Atomic(func(tx *stm.Tx) error {
+		for i := 0; i < ladderKeys; i++ {
+			tm.Put(tx, i, i)
+		}
+		return nil
+	})
+	return tm, th
+}
+
+// ladderSerial times one transaction per iteration on th, running op on
+// successive ladder keys.
+func ladderSerial(b *testing.B, th *stm.Thread, op func(tx *stm.Tx, k int)) {
+	k := 0
+	body := func(tx *stm.Tx) error {
+		op(tx, k)
+		return nil
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k = i & (ladderKeys - 1)
+		_ = th.Atomic(body)
+	}
+}
+
+// ladderContended times one transaction per iteration across
+// GOMAXPROCS×4 goroutines, each on its own thread, all running op on
+// the same 8 hot keys.
+func ladderContended(b *testing.B, op func(tx *stm.Tx, k int)) {
+	var seeds atomic.Int64
+	b.SetParallelism(4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		th := stm.NewThread(&stm.RealClock{}, seeds.Add(1))
+		k := 0
+		body := func(tx *stm.Tx) error {
+			op(tx, k)
+			return nil
+		}
+		for i := 0; pb.Next(); i++ {
+			k = i & 7
+			_ = th.Atomic(body)
+		}
+	})
+}

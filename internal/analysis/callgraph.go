@@ -67,6 +67,13 @@ type CallGraph struct {
 	handlerFuncs map[*types.Func]bool
 	txBodyFuncs  map[*types.Func]bool
 
+	// handlerFields are struct fields (origin objects) the module
+	// passes to a handler registration: a collection that builds its
+	// handler pair once and registers it through fields on every
+	// transaction. A function literal or named function assigned to
+	// such a field is a handler body like one passed directly.
+	handlerFields map[*types.Var]bool
+
 	// readonlyBodyFuncs is the subset of txBodyFuncs passed to
 	// Thread.AtomicRead somewhere: transaction bodies that declared
 	// themselves read-only and must not reach a write.
@@ -152,6 +159,7 @@ func BuildCallGraph(fset *token.FileSet, pkgs []*Package) *CallGraph {
 		nodes:             make(map[*types.Func]*callNode),
 		litKinds:          make(map[*ast.FuncLit]bodyKind),
 		handlerFuncs:      make(map[*types.Func]bool),
+		handlerFields:     make(map[*types.Var]bool),
 		txBodyFuncs:       make(map[*types.Func]bool),
 		readonlyBodyFuncs: make(map[*types.Func]bool),
 		chaCache:          make(map[*types.Func][]*types.Func),
@@ -176,6 +184,15 @@ func BuildCallGraph(fset *token.FileSet, pkgs []*Package) *CallGraph {
 			}
 		}
 		g.indexTypes(pkg)
+	}
+
+	// Pass 1b: handler bodies stored in handler fields. Needs every
+	// registration seen first — the field may be assigned in another
+	// file or package than the one that registers it.
+	for _, pkg := range sorted {
+		for _, f := range pkg.Files {
+			g.classifyFieldHandlers(pkg.Info, f)
+		}
 	}
 
 	// Pass 2: resolve each node's outgoing edges. Iterate files, not
@@ -256,16 +273,76 @@ func (g *CallGraph) classifyNamedArgs(info *types.Info, f *ast.File) {
 			isSTMMethod(info, call, "Tx", "OnAbort"),
 			isSTMMethod(info, call, "Tx", "OnTopCommit"),
 			isSTMMethod(info, call, "Tx", "OnTopAbort"):
-			if fn := fnAt(0); fn != nil {
-				g.handlerFuncs[fn] = true
-			}
+			g.classifyHandlerArg(info, call, 0)
 		case isSTMMethod(info, call, "Tx", "OnCommitGuarded"),
 			isSTMMethod(info, call, "Tx", "OnAbortGuarded"),
 			isSTMMethod(info, call, "Tx", "OnTopCommitGuarded"),
 			isSTMMethod(info, call, "Tx", "OnTopAbortGuarded"):
-			if fn := fnAt(1); fn != nil {
-				g.handlerFuncs[fn] = true
+			g.classifyHandlerArg(info, call, 1)
+		}
+		return true
+	})
+}
+
+// classifyHandlerArg records the handler passed as call.Args[i]: a
+// named function joins handlerFuncs, a struct field handlerFields.
+func (g *CallGraph) classifyHandlerArg(info *types.Info, call *ast.CallExpr, i int) {
+	if i >= len(call.Args) {
+		return
+	}
+	if fn := exprFunc(info, call.Args[i]); fn != nil {
+		g.handlerFuncs[fn] = true
+	} else if fv := exprField(info, call.Args[i]); fv != nil {
+		g.handlerFields[fv] = true
+	}
+}
+
+// exprField resolves e to the struct field it names (an x.f selector or
+// a composite-literal key), as the field's origin object so every
+// instantiation of a generic struct shares it; nil otherwise.
+func exprField(info *types.Info, e ast.Expr) *types.Var {
+	var id *ast.Ident
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		id = e
+	case *ast.SelectorExpr:
+		id = e.Sel
+	default:
+		return nil
+	}
+	v, _ := info.Uses[id].(*types.Var)
+	if v == nil || !v.IsField() {
+		return nil
+	}
+	return v.Origin()
+}
+
+// classifyFieldHandlers marks what f assigns to a handler field — by
+// assignment or in a composite literal — as a handler body.
+func (g *CallGraph) classifyFieldHandlers(info *types.Info, f *ast.File) {
+	if len(g.handlerFields) == 0 {
+		return
+	}
+	mark := func(field, val ast.Expr) {
+		if fv := exprField(info, field); fv == nil || !g.handlerFields[fv] {
+			return
+		}
+		if lit, ok := ast.Unparen(val).(*ast.FuncLit); ok {
+			g.litKinds[lit] = bodyHandler
+		} else if fn := exprFunc(info, val); fn != nil {
+			g.handlerFuncs[fn] = true
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			if len(n.Lhs) == len(n.Rhs) {
+				for i := range n.Lhs {
+					mark(n.Lhs[i], n.Rhs[i])
+				}
 			}
+		case *ast.KeyValueExpr:
+			mark(n.Key, n.Value)
 		}
 		return true
 	})

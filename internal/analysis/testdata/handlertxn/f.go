@@ -69,3 +69,25 @@ func cleanHandler(th *stm.Thread, reg *registry) error {
 		return nil
 	})
 }
+
+// fieldHandlers holds a handler pair built once and registered through
+// its fields on every transaction, as the collection classes do.
+type fieldHandlers struct {
+	onCommit, onAbort func()
+}
+
+// bad: a handler stored in a field and registered through it is still
+// a handler — assigned after construction or in a composite literal.
+func handlerInField(th *stm.Thread, g *stm.Guard, v *stm.Var[int]) error {
+	fh := &fieldHandlers{onAbort: func() {
+		v.SetCommitted(0) // want handler-txn
+	}}
+	fh.onCommit = func() {
+		v.SetCommitted(1) // want handler-txn
+	}
+	return th.Atomic(func(tx *stm.Tx) error {
+		tx.OnCommit(fh.onCommit)
+		tx.OnAbortGuarded(g, fh.onAbort)
+		return nil
+	})
+}

@@ -22,9 +22,11 @@ type Counter struct {
 }
 
 // counterLocal accumulates one transaction's net contribution so a
-// single abort handler can compensate for all of it.
+// single abort handler can compensate for all of it. It is recycled
+// through the thread with its handler, like mapLocal.
 type counterLocal struct {
-	delta int64
+	delta   int64
+	onAbort func()
 }
 
 // NewCounter creates a counter with an initial value.
@@ -32,15 +34,23 @@ func NewCounter(initial int64) *Counter {
 	return &Counter{guard: stm.NewGuard(), value: initial}
 }
 
+// local returns this transaction's contribution record, attaching the
+// thread's recycled one (zeroed: a new attempt has contributed
+// nothing) and registering its compensating abort handler on first use.
 func (c *Counter) local(tx *stm.Tx) *counterLocal {
 	if l, ok := tx.Local(c).(*counterLocal); ok {
 		return l
 	}
-	l := &counterLocal{}
+	th := tx.Thread()
+	l, _ := th.Recycled(c).(*counterLocal)
+	if l == nil {
+		l = &counterLocal{}
+		l.onAbort = func() { c.value -= l.delta }
+		th.Recycle(c, l)
+	}
+	l.delta = 0
 	tx.SetLocal(c, l)
-	tx.OnTopAbortGuarded(c.guard, func() {
-		c.value -= l.delta
-	})
+	tx.OnTopAbortGuarded(c.guard, l.onAbort)
 	return l
 }
 

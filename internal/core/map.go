@@ -66,6 +66,7 @@ package core
 
 import (
 	"hash/maphash"
+	"slices"
 	"strconv"
 
 	"tcc/internal/collections"
@@ -96,31 +97,56 @@ var stripeSeed = maphash.MakeSeed()
 
 // mapWrite is one buffered write in the storeBuffer (Table 3: "map of
 // keys to new values, special value for removed keys").
-type mapWrite[V any] struct {
+type mapWrite[K comparable, V any] struct {
+	key     K
 	val     V
 	removed bool
-	// knownCommitted records whether the key was present in the
-	// committed map when this transaction read it under its key lock;
-	// nil for blind writes (PutUnread/RemoveUnread), which defer the
-	// presence question — and hence their size contribution — until
-	// Size/IsEmpty resolves it or commit applies it.
-	knownCommitted *bool
+	// resolved records that present holds whether the key was in the
+	// committed map when this transaction read it under its key lock.
+	// Blind writes (PutUnread/RemoveUnread) start unresolved: they
+	// defer the presence question — and hence their size contribution
+	// — until Size/IsEmpty resolves it or commit applies it.
+	resolved, present bool
 }
+
+// maxRecycledEntries bounds the buffers a recycled mapLocal keeps
+// between transactions: a transaction that locked or buffered more
+// entries than this leaves its buffers to the collector instead of
+// pinning their capacity for the rest of the thread's life (and every
+// later clear would pay for that capacity too).
+const maxRecycledEntries = 256
 
 // mapLocal is the transaction-local state of Table 3 (and, for sorted
 // maps, Table 6): the locks this transaction holds on this instance and
-// the write buffer.
+// the write buffer. One mapLocal per (thread, instance) is recycled
+// through the thread (stm.Thread.Recycled), so it is cleared in place
+// when the transaction's handlers finish, never re-made.
 type mapLocal[K comparable, V any] struct {
-	keyLocks    map[K]struct{}
+	// keyLocks lists the keys this transaction key-locked, in locking
+	// order; the key tables themselves answer whether a key is already
+	// held (semlock.KeyTable.Lock is idempotent).
+	keyLocks    []K
 	sizeLocked  bool
 	emptyLocked bool
 	rangeLocks  []stripedRange[K]
-	storeBuffer map[K]*mapWrite[V]
+	// freeRanges holds range-lock entries released from the tables by
+	// releaseLocked, for reuse by later range locks (rangeEntry).
+	freeRanges []*semlock.RangeEntry[K]
+	// writes is the storeBuffer in insertion order, so the commit
+	// handler applies — and violates — in the order the transaction
+	// wrote, not in Go map iteration order; index maps each buffered
+	// key to its position in writes.
+	writes []mapWrite[K, V]
+	index  map[K]int
 	// sortedKeys is Table 6's sortedStoreBuffer: for sorted maps, the
-	// buffered keys in comparator order, so iterators and navigation
+	// buffered keys ascending by cmp, so iterators and navigation
 	// queries enumerate local changes ordered instead of scanning the
-	// buffer (values and removal markers stay in storeBuffer).
-	sortedKeys *collections.TreeMap[K, struct{}]
+	// buffer (values and removal markers stay in writes). A sorted
+	// slice rather than a tree: a transaction buffers a handful of
+	// keys, and the slice's capacity is recycled with the local.
+	sortedKeys []K
+	// cmp is the sorted map's comparator; nil for unsorted maps.
+	cmp func(a, b K) int
 	// touched is the bitmask of stripes in this transaction's guard
 	// footprint for this instance: every stripe it read, wrote, or
 	// registered a size/empty lock in. The commit/abort handler pair is
@@ -128,15 +154,85 @@ type mapLocal[K comparable, V any] struct {
 	// stripe widens the footprint (stm.Tx.AddTopGuard) so the handlers
 	// run with every touched stripe's guard held.
 	touched uint64
-	// registered records that the handler pair exists.
+	// registered records that the handler pair is registered for the
+	// current attempt.
 	registered bool
+	// h and th are the handle and thread of the attempt the handler
+	// pair is registered for. onCommit and onAbort are that pair, built
+	// once per mapLocal: they read h and th from these fields, so
+	// registering them again in a later transaction allocates nothing.
+	h                 *stm.Handle
+	th                *stm.Thread
+	onCommit, onAbort func()
 }
 
-// bufferKey records k in the buffer index (no-op for unsorted maps).
-func (l *mapLocal[K, V]) bufferKey(k K) {
-	if l.sortedKeys != nil {
-		l.sortedKeys.Put(k, struct{}{})
+// recycleBuffer empties buf for reuse: the elements are zeroed so the
+// buffer pins nothing, and a buffer grown past maxRecycledEntries is
+// dropped.
+func recycleBuffer[T any](buf []T) []T {
+	if len(buf) > maxRecycledEntries {
+		return nil
 	}
+	clear(buf)
+	return buf[:0]
+}
+
+// buffered returns k's buffered write, or nil. The pointer is valid
+// until the next write is buffered.
+func (l *mapLocal[K, V]) buffered(k K) *mapWrite[K, V] {
+	if i, ok := l.index[k]; ok {
+		return &l.writes[i]
+	}
+	return nil
+}
+
+// rangeEntry returns an unbounded range-lock entry owned by h, reusing
+// one released by an earlier transaction when there is one.
+func (l *mapLocal[K, V]) rangeEntry(h semlock.Owner) *semlock.RangeEntry[K] {
+	n := len(l.freeRanges) - 1
+	if n < 0 {
+		return &semlock.RangeEntry[K]{Owner: h}
+	}
+	e := l.freeRanges[n]
+	l.freeRanges[n] = nil
+	l.freeRanges = l.freeRanges[:n]
+	e.Reset(h)
+	return e
+}
+
+// buffer appends a write of an unbuffered key to the storeBuffer,
+// recording it in the sorted index too (sorted maps only).
+func (l *mapLocal[K, V]) buffer(w mapWrite[K, V]) {
+	if l.index == nil {
+		l.index = make(map[K]int)
+	}
+	l.index[w.key] = len(l.writes)
+	l.writes = append(l.writes, w)
+	if l.cmp != nil {
+		i, _ := slices.BinarySearchFunc(l.sortedKeys, w.key, l.cmp)
+		l.sortedKeys = slices.Insert(l.sortedKeys, i, w.key)
+	}
+}
+
+// reset clears the local state in place for the next attempt or
+// transaction, keeping buffer capacity up to maxRecycledEntries. It
+// touches no lock table: releaseLocked returns the locks first, and a
+// local reset without that (its last attempt's handlers never ran to
+// the end) belongs to a finished attempt whose handle no sweep can
+// violate any more.
+func (l *mapLocal[K, V]) reset() {
+	if len(l.writes) > maxRecycledEntries {
+		l.index = nil
+	} else {
+		clear(l.index)
+	}
+	l.writes = recycleBuffer(l.writes)
+	l.sortedKeys = recycleBuffer(l.sortedKeys)
+	l.keyLocks = recycleBuffer(l.keyLocks)
+	l.rangeLocks = recycleBuffer(l.rangeLocks)
+	l.sizeLocked, l.emptyLocked = false, false
+	l.touched, l.registered = 0, false
+	l.h, l.th = nil, nil
 }
 
 // stripedRange records one range lock a transaction holds, with the
@@ -458,27 +554,57 @@ func (tm *TransactionalMap[K, V]) SetIsEmptyViaSize(v bool) { tm.isEmptyViaSize 
 func (tm *TransactionalMap[K, V]) SetEagerWriteCheck(v bool) { tm.eagerWriteCheck = v }
 
 // local returns this transaction's local state for this instance,
-// creating it on first use. For a single-stripe instance the commit and
+// attaching it on first use. For a single-stripe instance the commit and
 // abort handler pair is registered immediately (paper §5: "registered
 // by the first open-nested transaction to commit"); a striped instance
 // defers registration to the first touch so the footprint starts with
 // the stripe actually used instead of pinning stripe 0 into every
 // transaction's footprint.
+//
+// The local state itself is the thread's recycled one for this
+// instance (stm.Thread.Recycled), allocated only on the thread's first
+// transaction here or after eviction. A recycled local is clean when
+// the last attempt that used it ran its handlers to the end; one whose
+// attempt never did — a handler panicked, or a snapshot attempt fell
+// back before registering — still has footprint bits set and is reset
+// before reuse.
 func (tm *TransactionalMap[K, V]) local(tx *stm.Tx) *mapLocal[K, V] {
 	if l, ok := tx.Local(tm).(*mapLocal[K, V]); ok {
 		return l
 	}
-	l := &mapLocal[K, V]{
-		keyLocks:    make(map[K]struct{}),
-		storeBuffer: make(map[K]*mapWrite[V]),
-	}
-	if tm.sorted != nil {
-		l.sortedKeys = collections.NewTreeMapFunc[K, struct{}](tm.sorted.cmp)
+	th := tx.Thread()
+	l, _ := th.Recycled(tm).(*mapLocal[K, V])
+	if l == nil {
+		l = tm.newLocal()
+		th.Recycle(tm, l)
+	} else if l.touched != 0 {
+		l.reset()
 	}
 	tx.SetLocal(tm, l)
 	if len(tm.stripes) == 1 {
 		l.touched = 1
 		tm.register(tx, l)
+	}
+	return l
+}
+
+// newLocal allocates a local state and builds its handler pair. The
+// handlers run with every touched stripe's guard held and end by
+// clearing the local (releaseLocked), which is what makes it reusable.
+func (tm *TransactionalMap[K, V]) newLocal() *mapLocal[K, V] {
+	l := &mapLocal[K, V]{}
+	if tm.sorted != nil {
+		l.cmp = tm.sorted.cmp
+	}
+	l.onCommit = func() {
+		th, n := l.th, len(l.writes)
+		tm.applyLocked(l, l.h)
+		th.DeferTick(tm.opCost * uint64(1+n))
+	}
+	l.onAbort = func() {
+		th := l.th
+		tm.releaseLocked(l, l.h)
+		th.DeferTick(tm.opCost)
 	}
 	return l
 }
@@ -490,18 +616,10 @@ func (tm *TransactionalMap[K, V]) local(tx *stm.Tx) *mapLocal[K, V] {
 // touch) for the whole handler window.
 func (tm *TransactionalMap[K, V]) register(tx *stm.Tx, l *mapLocal[K, V]) {
 	l.registered = true
+	l.h, l.th = tx.Handle(), tx.Thread()
 	g := tm.stripes[firstStripe(l.touched)].guard
-	h := tx.Handle()
-	th := tx.Thread()
-	tx.OnTopCommitGuarded(g, func() {
-		n := len(l.storeBuffer)
-		tm.applyLocked(l, h)
-		th.DeferTick(tm.opCost * uint64(1+n))
-	})
-	tx.OnTopAbortGuarded(g, func() {
-		tm.releaseLocked(l, h)
-		th.DeferTick(tm.opCost)
-	})
+	tx.OnTopCommitGuarded(g, l.onCommit)
+	tx.OnTopAbortGuarded(g, l.onAbort)
 }
 
 // firstStripe returns the index of the lowest set bit of a touched
@@ -548,11 +666,9 @@ func (tm *TransactionalMap[K, V]) touchAll(tx *stm.Tx, l *mapLocal[K, V]) {
 // lockKeyLocked takes (idempotently) the key lock for k on behalf of h.
 // Caller holds k's stripe guard.
 func (tm *TransactionalMap[K, V]) lockKeyLocked(l *mapLocal[K, V], h semlock.Owner, k K) {
-	if _, ok := l.keyLocks[k]; ok {
-		return
+	if tm.stripes[tm.StripeOf(k)].key2lockers.Lock(k, h) {
+		l.keyLocks = append(l.keyLocks, k)
 	}
-	tm.stripes[tm.StripeOf(k)].key2lockers.Lock(k, h)
-	l.keyLocks[k] = struct{}{}
 }
 
 // Get returns the value mapped to k as seen by tx: the transaction's
@@ -564,7 +680,7 @@ func (tm *TransactionalMap[K, V]) Get(tx *stm.Tx, k K) (V, bool) {
 		return tm.snapshotGet(tx, k)
 	}
 	l := tm.local(tx)
-	if w, ok := l.storeBuffer[k]; ok {
+	if w := l.buffered(k); w != nil {
 		if w.removed {
 			var zero V
 			return zero, false
@@ -599,7 +715,7 @@ func (tm *TransactionalMap[K, V]) ContainsKey(tx *stm.Tx, k K) bool {
 // creates no read dependency (§5.1 "Extensions to java.util.Map").
 func (tm *TransactionalMap[K, V]) Put(tx *stm.Tx, k K, v V) (V, bool) {
 	l := tm.local(tx)
-	if w, ok := l.storeBuffer[k]; ok {
+	if w := l.buffered(k); w != nil {
 		var old V
 		had := !w.removed
 		if had {
@@ -609,9 +725,7 @@ func (tm *TransactionalMap[K, V]) Put(tx *stm.Tx, k K, v V) (V, bool) {
 		return old, had
 	}
 	old, had := tm.readCommittedWrite(tx, l, k, true)
-	kc := had
-	l.storeBuffer[k] = &mapWrite[V]{val: v, knownCommitted: &kc}
-	l.bufferKey(k)
+	l.buffer(mapWrite[K, V]{key: k, val: v, resolved: true, present: had})
 	return old, had
 }
 
@@ -622,13 +736,12 @@ func (tm *TransactionalMap[K, V]) Put(tx *stm.Tx, k K, v V) (V, bool) {
 // will apply the write there.
 func (tm *TransactionalMap[K, V]) PutUnread(tx *stm.Tx, k K, v V) {
 	l := tm.local(tx)
-	if w, ok := l.storeBuffer[k]; ok {
+	if w := l.buffered(k); w != nil {
 		w.val, w.removed = v, false
 		return
 	}
 	tm.touch(tx, l, tm.StripeOf(k))
-	l.storeBuffer[k] = &mapWrite[V]{val: v}
-	l.bufferKey(k)
+	l.buffer(mapWrite[K, V]{key: k, val: v})
 	tx.Thread().Clock.Tick(tm.opCost / 4)
 }
 
@@ -637,7 +750,7 @@ func (tm *TransactionalMap[K, V]) PutUnread(tx *stm.Tx, k K, v V) {
 func (tm *TransactionalMap[K, V]) Remove(tx *stm.Tx, k K) (V, bool) {
 	l := tm.local(tx)
 	var zero V
-	if w, ok := l.storeBuffer[k]; ok {
+	if w := l.buffered(k); w != nil {
 		var old V
 		had := !w.removed
 		if had {
@@ -647,9 +760,7 @@ func (tm *TransactionalMap[K, V]) Remove(tx *stm.Tx, k K) (V, bool) {
 		return old, had
 	}
 	old, had := tm.readCommittedWrite(tx, l, k, true)
-	kc := had
-	l.storeBuffer[k] = &mapWrite[V]{removed: true, knownCommitted: &kc}
-	l.bufferKey(k)
+	l.buffer(mapWrite[K, V]{key: k, removed: true, resolved: true, present: had})
 	return old, had
 }
 
@@ -657,13 +768,12 @@ func (tm *TransactionalMap[K, V]) Remove(tx *stm.Tx, k K) (V, bool) {
 func (tm *TransactionalMap[K, V]) RemoveUnread(tx *stm.Tx, k K) {
 	l := tm.local(tx)
 	var zero V
-	if w, ok := l.storeBuffer[k]; ok {
+	if w := l.buffered(k); w != nil {
 		w.val, w.removed = zero, true
 		return
 	}
 	tm.touch(tx, l, tm.StripeOf(k))
-	l.storeBuffer[k] = &mapWrite[V]{removed: true}
-	l.bufferKey(k)
+	l.buffer(mapWrite[K, V]{key: k, removed: true})
 	tx.Thread().Clock.Tick(tm.opCost / 4)
 }
 
@@ -709,13 +819,33 @@ func (tm *TransactionalMap[K, V]) readCommittedWrite(tx *stm.Tx, l *mapLocal[K, 
 // the buffer's net size effect is well defined. Caller holds stripe
 // si's guard.
 func (tm *TransactionalMap[K, V]) resolveBlindStripeLocked(st *mapStripe[K, V], si int, l *mapLocal[K, V], h semlock.Owner) {
-	for k, w := range l.storeBuffer {
-		if w.knownCommitted == nil && tm.StripeOf(k) == si {
-			tm.lockKeyLocked(l, h, k)
-			p := st.m.ContainsKey(k)
-			w.knownCommitted = &p
+	for i := range l.writes {
+		w := &l.writes[i]
+		if !w.resolved && tm.StripeOf(w.key) == si {
+			tm.lockKeyLocked(l, h, w.key)
+			w.present = st.m.ContainsKey(w.key)
+			w.resolved = true
 		}
 	}
+}
+
+// sizeNeutral reports whether the buffer is known to leave the map's
+// size unchanged: every write resolved and the net delta zero. Blind
+// writes count as size-changing until Size/IsEmpty resolves them.
+func (l *mapLocal[K, V]) sizeNeutral() bool {
+	d := 0
+	for i := range l.writes {
+		w := &l.writes[i]
+		switch {
+		case !w.resolved:
+			return false
+		case w.removed && w.present:
+			d--
+		case !w.removed && !w.present:
+			d++
+		}
+	}
+	return d == 0
 }
 
 // deltaLocked is the Table 3 delta: the buffer's net change to the
@@ -723,12 +853,13 @@ func (tm *TransactionalMap[K, V]) resolveBlindStripeLocked(st *mapStripe[K, V], 
 // transaction's local state is read.
 func (tm *TransactionalMap[K, V]) deltaLocked(l *mapLocal[K, V]) int {
 	d := 0
-	for _, w := range l.storeBuffer {
+	for i := range l.writes {
+		w := &l.writes[i]
 		if w.removed {
-			if *w.knownCommitted {
+			if w.present {
 				d--
 			}
-		} else if !*w.knownCommitted {
+		} else if !w.present {
 			d++
 		}
 	}
@@ -775,8 +906,20 @@ func (tm *TransactionalMap[K, V]) IsEmpty(tx *stm.Tx) bool {
 // have torn the sum also violates this transaction, which then cannot
 // commit (the same opacity-by-violation argument as the paper's
 // open-nested reads).
+//
+// The empty-transition lock guards an IsEmpty answer only while the
+// transaction's own buffer leaves the size unchanged: the answer is
+// "committed size + delta == 0", which flips exactly when committed
+// emptiness flips only for delta == 0. A transaction that already
+// removed a committed key answers "empty" from a committed size of 1,
+// and a concurrent insert that takes the size from 1 to 2 changes that
+// answer without flipping emptiness. Such an IsEmpty therefore takes
+// the size lock instead.
 func (tm *TransactionalMap[K, V]) lockedSize(tx *stm.Tx, emptyOnly bool) int {
 	l := tm.local(tx)
+	if emptyOnly && !l.sizeNeutral() {
+		emptyOnly = false
+	}
 	tm.touchAll(tx, l)
 	n := 0
 	_ = tx.Open(func(o *stm.Tx) error {
@@ -819,7 +962,7 @@ func (tm *TransactionalMap[K, V]) lockedStripeSize(st *mapStripe[K, V], si int, 
 // keys all hash to touched stripes (touch precedes buffering).
 func (tm *TransactionalMap[K, V]) applyLocked(l *mapLocal[K, V], h semlock.Owner) {
 	var oldSizes [maxStripes]int
-	if len(l.storeBuffer) > 0 {
+	if len(l.writes) > 0 {
 		for si, st := range tm.stripes {
 			if l.touched&(uint64(1)<<uint(si)) != 0 {
 				oldSizes[si] = st.m.Size()
@@ -829,7 +972,9 @@ func (tm *TransactionalMap[K, V]) applyLocked(l *mapLocal[K, V], h semlock.Owner
 	// mon gates the per-stripe violation counters: one atomic load for
 	// the whole sweep, then atomic-only Adds (the window discipline).
 	mon := metrics.On()
-	for k, w := range l.storeBuffer {
+	for i := range l.writes {
+		w := &l.writes[i]
+		k := w.key
 		st := tm.stripes[tm.StripeOf(k)]
 		// Key conflict based on argument: abort every other reader (or
 		// locking writer) of this key.
@@ -851,7 +996,7 @@ func (tm *TransactionalMap[K, V]) applyLocked(l *mapLocal[K, V], h semlock.Owner
 			st.violations.Add(uint64(n))
 		}
 	}
-	if len(l.storeBuffer) > 0 {
+	if len(l.writes) > 0 {
 		// Size and empty sweeps are per stripe: a size/empty reader is
 		// registered in every stripe's set, so sweeping just the stripes
 		// whose local size changed still violates every reader, while
@@ -877,13 +1022,13 @@ func (tm *TransactionalMap[K, V]) applyLocked(l *mapLocal[K, V], h semlock.Owner
 }
 
 // releaseLocked releases every semantic lock held by this transaction
-// on this instance and clears its local state; it is both the tail of
-// the commit handler and the whole of the abort handler. The protocol
-// holds every touched stripe's guard; all of this transaction's locks
-// live on touched stripes (size/empty locks imply every stripe was
-// touched).
+// on this instance and clears its local state for reuse; it is both
+// the tail of the commit handler and the whole of the abort handler.
+// The protocol holds every touched stripe's guard; all of this
+// transaction's locks live on touched stripes (size/empty locks imply
+// every stripe was touched).
 func (tm *TransactionalMap[K, V]) releaseLocked(l *mapLocal[K, V], h semlock.Owner) {
-	for k := range l.keyLocks {
+	for _, k := range l.keyLocks {
 		tm.stripes[tm.StripeOf(k)].key2lockers.Unlock(k, h)
 	}
 	if l.sizeLocked {
@@ -899,13 +1044,10 @@ func (tm *TransactionalMap[K, V]) releaseLocked(l *mapLocal[K, V], h semlock.Own
 	if tm.sorted != nil {
 		for _, rl := range l.rangeLocks {
 			tm.sorted.rangeLockers[rl.si].Remove(rl.e)
+			if len(l.freeRanges) < maxRecycledEntries {
+				l.freeRanges = append(l.freeRanges, rl.e)
+			}
 		}
 	}
-	l.keyLocks = make(map[K]struct{})
-	l.storeBuffer = make(map[K]*mapWrite[V])
-	if l.sortedKeys != nil {
-		l.sortedKeys.Clear()
-	}
-	l.rangeLocks = nil
-	l.sizeLocked, l.emptyLocked = false, false
+	l.reset()
 }

@@ -71,9 +71,10 @@ func (tm *TransactionalMap[K, V]) Iterator(tx *stm.Tx) *MapIterator[K, V] {
 		for _, k := range it.snapshot {
 			inSnapshot[k] = struct{}{}
 		}
-		for k, w := range l.storeBuffer {
-			if _, ok := inSnapshot[k]; !ok && !w.removed {
-				it.extras = append(it.extras, k)
+		for i := range l.writes {
+			w := &l.writes[i]
+			if _, ok := inSnapshot[w.key]; !ok && !w.removed {
+				it.extras = append(it.extras, w.key)
 			}
 		}
 		return nil
@@ -89,7 +90,7 @@ func (it *MapIterator[K, V]) advance() (K, V, bool) {
 	for it.i < len(it.snapshot) {
 		k := it.snapshot[it.i]
 		it.i++
-		if w, ok := l.storeBuffer[k]; ok && w.removed {
+		if w := l.buffered(k); w != nil && w.removed {
 			continue
 		}
 		var val V
@@ -99,7 +100,7 @@ func (it *MapIterator[K, V]) advance() (K, V, bool) {
 			st.guard.Lock()
 			defer st.guard.Unlock()
 			tm.lockKeyLocked(l, o.Handle(), k)
-			if w, ok := l.storeBuffer[k]; ok {
+			if w := l.buffered(k); w != nil {
 				val, live = w.val, !w.removed
 			} else {
 				val, live = st.m.Get(k)
@@ -118,8 +119,8 @@ func (it *MapIterator[K, V]) advance() (K, V, bool) {
 	for it.j < len(it.extras) {
 		k := it.extras[it.j]
 		it.j++
-		w, ok := l.storeBuffer[k]
-		if !ok || w.removed {
+		w := l.buffered(k)
+		if w == nil || w.removed {
 			continue
 		}
 		st := tm.stripes[tm.StripeOf(k)]

@@ -7,6 +7,8 @@ package core
 // same keys runs as if the panicking one had never started.
 
 import (
+	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -229,5 +231,117 @@ func expectReleased(t *testing.T, th *stm.Thread, victim *stm.Handle, tg panicTa
 	}
 	if tg.check != nil {
 		tg.check(t)
+	}
+}
+
+// TestHandlerPanicReleasesGuards raises the panic in a commit handler
+// and in an abort handler, on every protocol and collection. The
+// panicking handler runs before the collection's own (commit handlers
+// run in registration order, abort handlers newest-first), so the
+// collection's handler never runs: its semantic locks stay with the
+// dead attempt, whose handle no sweep can violate any more, and its
+// recycled local is left dirty. What must not leak is the guard
+// footprint — a writer on the same stripes, first on the panicking
+// thread (reusing that dirty local) and then on a fresh one, commits.
+func TestHandlerPanicReleasesGuards(t *testing.T) {
+	type boom struct{}
+	errRollback := errors.New("roll back")
+	for _, proto := range stm.Protocols() {
+		for _, where := range []string{"commit-handler", "abort-handler"} {
+			for _, tg := range panicTargets(t) {
+				t.Run(proto+"/"+where+"/"+tg.name, func(t *testing.T) {
+					th := newTh(1)
+					if err := th.SetProtocol(proto); err != nil {
+						t.Fatal(err)
+					}
+					body := func(tx *stm.Tx) error {
+						if where == "commit-handler" {
+							tx.OnCommit(func() { panic(boom{}) })
+							tg.ops(tx)
+							return nil
+						}
+						tg.ops(tx)
+						tx.OnAbort(func() { panic(boom{}) })
+						return errRollback
+					}
+					recovered := func() (r any) {
+						defer func() { r = recover() }()
+						_ = th.Atomic(body)
+						return nil
+					}()
+					if recovered != (boom{}) {
+						t.Fatalf("recovered %v, want the handler's panic value", recovered)
+					}
+					writerCommits(t, th, tg)
+					writerCommits(t, newTh(2), tg)
+				})
+			}
+		}
+	}
+}
+
+// writerCommits runs tg.write on th and fails if it blocks on a leaked
+// guard.
+func writerCommits(t *testing.T, th *stm.Thread, tg panicTarget) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- th.Atomic(func(tx *stm.Tx) error { tg.write(tx); return nil }) }()
+	select {
+	case err := <-done:
+		must(t, err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("writer blocked: a guard leaked through the handler panic")
+	}
+}
+
+// TestCommitHandlerComparatorPanic panics inside the sorted map's own
+// commit handler — a comparator armed only for the handler window
+// rejects the buffered key while the write is applied — on both
+// layouts. The guards must be free again, and the thread's recycled
+// local, left mid-commit, must not leak its unapplied buffer into the
+// thread's next transaction on the map.
+func TestCommitHandlerComparatorPanic(t *testing.T) {
+	const poison = 13
+	var armed atomic.Bool
+	cmp := func(a, b int) int {
+		if armed.Load() && (a == poison || b == poison) {
+			panic("poisoned key")
+		}
+		return a - b
+	}
+	for _, stripes := range []int{1, 4} {
+		tm := NewRangeStripedTransactionalSortedMap[int, int](func() collections.SortedMap[int, int] {
+			return collections.NewTreeMapFunc[int, int](cmp)
+		}, []int{16, 32, 48})
+		if stripes == 1 {
+			tm = NewTransactionalSortedMap[int, int](collections.NewTreeMapFunc[int, int](cmp))
+		}
+		atomically(t, newTh(9), func(tx *stm.Tx) { tm.Put(tx, 2, 2) })
+		th := newTh(1)
+		recovered := func() (r any) {
+			defer func() { r = recover() }()
+			_ = th.Atomic(func(tx *stm.Tx) error {
+				tx.OnCommit(func() { armed.Store(true) })
+				tm.Put(tx, poison, poison)
+				return nil
+			})
+			return nil
+		}()
+		armed.Store(false)
+		if recovered != "poisoned key" {
+			t.Fatalf("%d stripes: recovered %v, want the comparator's panic", stripes, recovered)
+		}
+		writerCommits(t, th, panicTarget{write: func(tx *stm.Tx) { tm.Put(tx, 2, 3) }})
+		atomically(t, newTh(2), func(tx *stm.Tx) {
+			if v, ok := tm.Get(tx, 2); !ok || v != 3 {
+				t.Errorf("%d stripes: Get(2) = (%d, %v), want 3", stripes, v, ok)
+			}
+			if _, ok := tm.Get(tx, poison); ok {
+				t.Errorf("%d stripes: the panicked write of %d was applied later", stripes, poison)
+			}
+			if keys := tm.Keys(tx); len(keys) != 1 {
+				t.Errorf("%d stripes: keys %v, want [2]", stripes, keys)
+			}
+		})
 	}
 }

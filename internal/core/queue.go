@@ -69,7 +69,9 @@ type queueLane[T any] struct {
 	violations *metrics.Counter
 }
 
-// queueLocal is the local transaction state of Table 9, per lane.
+// queueLocal is the local transaction state of Table 9, per lane. Like
+// mapLocal it is recycled through the thread and cleared in place by
+// its handlers.
 type queueLocal[T any] struct {
 	addBuffers    [][]T
 	removeBuffers [][]T
@@ -79,6 +81,35 @@ type queueLocal[T any] struct {
 	emptyLocked uint64
 	touched     uint64
 	registered  bool
+	// h, th and the handler pair play the same roles as in mapLocal.
+	h                 *stm.Handle
+	th                *stm.Thread
+	onCommit, onAbort func()
+}
+
+// reset clears the lanes in the footprint — the only ones whose
+// buffers can be non-empty — and the lock and footprint state (see
+// mapLocal.reset).
+func (l *queueLocal[T]) reset() {
+	for li := range l.addBuffers {
+		if l.touched&(uint64(1)<<uint(li)) != 0 {
+			l.addBuffers[li] = recycleBuffer(l.addBuffers[li])
+			l.removeBuffers[li] = recycleBuffer(l.removeBuffers[li])
+		}
+	}
+	l.emptyLocked, l.touched, l.registered = 0, 0, false
+	l.h, l.th = nil, nil
+}
+
+// popFront removes and returns buf's first element, shifting the rest
+// down so the buffer keeps its capacity for reuse. Buffers are a
+// transaction's own additions to one lane — a handful of elements.
+func popFront[T any](buf []T) (T, []T) {
+	v := buf[0]
+	copy(buf, buf[1:])
+	var zero T
+	buf[len(buf)-1] = zero
+	return v, buf[:len(buf)-1]
 }
 
 func newQueueLane[T any](q collections.Queue[T]) *queueLane[T] {
@@ -199,9 +230,13 @@ func (tq *TransactionalQueue[T]) local(tx *stm.Tx) *queueLocal[T] {
 	if l, ok := tx.Local(tq).(*queueLocal[T]); ok {
 		return l
 	}
-	l := &queueLocal[T]{
-		addBuffers:    make([][]T, len(tq.lanes)),
-		removeBuffers: make([][]T, len(tq.lanes)),
+	th := tx.Thread()
+	l, _ := th.Recycled(tq).(*queueLocal[T])
+	if l == nil {
+		l = tq.newLocal()
+		th.Recycle(tq, l)
+	} else if l.touched != 0 {
+		l.reset()
 	}
 	tx.SetLocal(tq, l)
 	if len(tq.lanes) == 1 {
@@ -211,17 +246,16 @@ func (tq *TransactionalQueue[T]) local(tx *stm.Tx) *queueLocal[T] {
 	return l
 }
 
-// register installs the transaction's single commit/abort handler pair
-// for this instance under the guard of the first lane it touched. The
-// handler bodies take no lock themselves: the commit/rollback protocol
-// holds every touched lane's guard (the footprint widened by touch)
-// for the whole handler window.
-func (tq *TransactionalQueue[T]) register(tx *stm.Tx, l *queueLocal[T]) {
-	l.registered = true
-	g := tq.lanes[firstStripe(l.touched)].guard
-	h := tx.Handle()
-	th := tx.Thread()
-	tx.OnTopCommitGuarded(g, func() {
+// newLocal allocates a local state and builds its handler pair (see
+// TransactionalMap.newLocal). The handlers clear each touched lane's
+// buffers as they finish with it.
+func (tq *TransactionalQueue[T]) newLocal() *queueLocal[T] {
+	l := &queueLocal[T]{
+		addBuffers:    make([][]T, len(tq.lanes)),
+		removeBuffers: make([][]T, len(tq.lanes)),
+	}
+	l.onCommit = func() {
+		h, th := l.h, l.th
 		mon := metrics.On()
 		total := 0
 		for li, ln := range tq.lanes {
@@ -244,12 +278,12 @@ func (tq *TransactionalQueue[T]) register(tx *stm.Tx, l *queueLocal[T]) {
 				ln.emptyLockers.Unlock(h)
 			}
 			total += len(l.addBuffers[li])
-			l.addBuffers[li], l.removeBuffers[li] = nil, nil
 		}
-		l.emptyLocked = 0
+		l.reset()
 		th.DeferTick(tq.opCost * uint64(1+total))
-	})
-	tx.OnTopAbortGuarded(g, func() {
+	}
+	l.onAbort = func() {
+		h, th := l.h, l.th
 		mon := metrics.On()
 		total := 0
 		for li, ln := range tq.lanes {
@@ -273,11 +307,24 @@ func (tq *TransactionalQueue[T]) register(tx *stm.Tx, l *queueLocal[T]) {
 				ln.emptyLockers.Unlock(h)
 			}
 			total += len(l.removeBuffers[li])
-			l.addBuffers[li], l.removeBuffers[li] = nil, nil
 		}
-		l.emptyLocked = 0
+		l.reset()
 		th.DeferTick(tq.opCost * uint64(1+total))
-	})
+	}
+	return l
+}
+
+// register installs the transaction's single commit/abort handler pair
+// for this instance under the guard of the first lane it touched. The
+// handler bodies take no lock themselves: the commit/rollback protocol
+// holds every touched lane's guard (the footprint widened by touch)
+// for the whole handler window.
+func (tq *TransactionalQueue[T]) register(tx *stm.Tx, l *queueLocal[T]) {
+	l.registered = true
+	l.h, l.th = tx.Handle(), tx.Thread()
+	g := tq.lanes[firstStripe(l.touched)].guard
+	tx.OnTopCommitGuarded(g, l.onCommit)
+	tx.OnTopAbortGuarded(g, l.onAbort)
 }
 
 // touch adds lane li to the transaction's footprint for this instance,
@@ -341,8 +388,8 @@ func (tq *TransactionalQueue[T]) tryDequeueLane(tx *stm.Tx, l *queueLocal[T], li
 			return nil
 		}
 		if len(l.addBuffers[li]) > 0 {
-			out, ok = l.addBuffers[li][0], true
-			l.addBuffers[li] = l.addBuffers[li][1:]
+			out, l.addBuffers[li] = popFront(l.addBuffers[li])
+			ok = true
 			return nil
 		}
 		if lockIfEmpty {
@@ -402,8 +449,8 @@ func (tq *TransactionalQueue[T]) dequeueOrLockEmpty(tx *stm.Tx, l *queueLocal[T]
 				return nil
 			}
 			if len(l.addBuffers[li]) > 0 {
-				out, ok = l.addBuffers[li][0], true
-				l.addBuffers[li] = l.addBuffers[li][1:]
+				out, l.addBuffers[li] = popFront(l.addBuffers[li])
+				ok = true
 				return nil
 			}
 		}

@@ -38,25 +38,39 @@ import (
 // snapshotGet answers Get for a snapshot transaction: the committed
 // mapping, read under k's stripe guard only.
 func (tm *TransactionalMap[K, V]) snapshotGet(tx *stm.Tx, k K) (V, bool) {
-	st := tm.stripes[tm.StripeOf(k)]
-	st.guard.Lock()
-	v, ok := st.m.Get(k)
-	st.guard.Unlock()
+	v, ok := tm.committedGet(k)
 	tx.Thread().Clock.Tick(tm.opCost)
 	return v, ok
+}
+
+// committedGet reads k's committed mapping under its stripe guard,
+// released by defer so a panicking key comparison cannot leak it. The
+// snapshot helpers below hold their guards the same way, and charge
+// the clock only after the hold (never inside a guard window).
+func (tm *TransactionalMap[K, V]) committedGet(k K) (V, bool) {
+	st := tm.stripes[tm.StripeOf(k)]
+	st.guard.Lock()
+	defer st.guard.Unlock()
+	return st.m.Get(k)
 }
 
 // snapshotSize answers Size for a snapshot transaction: the committed
 // size summed with every stripe guard held, so a multi-stripe commit is
 // either fully counted or not at all.
 func (tm *TransactionalMap[K, V]) snapshotSize(tx *stm.Tx) int {
+	n := tm.committedSize()
+	tx.Thread().Clock.Tick(tm.opCost)
+	return n
+}
+
+// committedSize sums the committed stripe sizes under every guard.
+func (tm *TransactionalMap[K, V]) committedSize() int {
 	tm.lockGuards()
+	defer tm.unlockGuards()
 	n := 0
 	for _, st := range tm.stripes {
 		n += st.m.Size()
 	}
-	tm.unlockGuards()
-	tx.Thread().Clock.Tick(tm.opCost)
 	return n
 }
 
@@ -65,16 +79,22 @@ func (tm *TransactionalMap[K, V]) snapshotSize(tx *stm.Tx) int {
 // enumeration walks the frozen slice with no further locking. The walk
 // is one atomic view of the map (see the caveat above for sequences).
 func (tm *TransactionalMap[K, V]) snapshotIterator(tx *stm.Tx) *MapIterator[K, V] {
-	it := &MapIterator[K, V]{frozen: true}
+	it := &MapIterator[K, V]{frozen: true, entries: tm.committedEntries()}
+	tx.Thread().Clock.Tick(tm.opCost)
+	return it
+}
+
+// committedEntries copies every committed entry under every guard.
+func (tm *TransactionalMap[K, V]) committedEntries() []mapEntry[K, V] {
 	tm.lockGuards()
+	defer tm.unlockGuards()
+	var out []mapEntry[K, V]
 	for _, st := range tm.stripes {
 		for _, k := range st.m.Keys() {
 			if v, ok := st.m.Get(k); ok {
-				it.entries = append(it.entries, mapEntry[K, V]{Key: k, Val: v})
+				out = append(out, mapEntry[K, V]{Key: k, Val: v})
 			}
 		}
 	}
-	tm.unlockGuards()
-	tx.Thread().Clock.Tick(tm.opCost)
-	return it
+	return out
 }

@@ -92,13 +92,17 @@ func (t *TransactionalSortedMap[K, V]) LastKey(tx *stm.Tx) (K, bool) {
 // upper bound — or, unbounded, to the top of the key space, which is
 // what Table 5's last lock observes.
 type SortedIterator[K comparable, V any] struct {
-	t       *TransactionalSortedMap[K, V]
-	tx      *stm.Tx
-	l       *mapLocal[K, V]
-	lo, hi  *K // view bounds: lo inclusive, hi exclusive; nil = unbounded
-	last    *K // last returned key
-	pending *mapEntry[K, V]
-	done    bool
+	t      *TransactionalSortedMap[K, V]
+	tx     *stm.Tx
+	l      *mapLocal[K, V]
+	lo, hi *K // view bounds: lo inclusive, hi exclusive; nil = unbounded
+	// last is the last returned key, when hasLast.
+	last    K
+	hasLast bool
+	// pending is the prefetched next entry, when hasPending.
+	pending    mapEntry[K, V]
+	hasPending bool
+	done       bool
 	// si is the stripe the scan is currently positioned in; slocks[i]
 	// is the widening range lock this iterator owns in stripe i's
 	// table (created lazily as the scan enters stripe i).
@@ -129,7 +133,7 @@ func (it *SortedIterator[K, V]) HasNext() bool {
 	if it.done {
 		return false
 	}
-	if it.pending != nil {
+	if it.hasPending {
 		return true
 	}
 	k, v, ok := it.advance()
@@ -137,7 +141,7 @@ func (it *SortedIterator[K, V]) HasNext() bool {
 		it.done = true
 		return false
 	}
-	it.pending = &mapEntry[K, V]{Key: k, Val: v}
+	it.pending, it.hasPending = mapEntry[K, V]{Key: k, Val: v}, true
 	return true
 }
 
@@ -147,7 +151,7 @@ func (it *SortedIterator[K, V]) Next() (k K, v V, ok bool) {
 		return k, v, false
 	}
 	e := it.pending
-	it.pending = nil
+	it.pending, it.hasPending = mapEntry[K, V]{}, false
 	return e.Key, e.Val, true
 }
 

@@ -32,10 +32,10 @@ package core
 // (touch) before its probe, exactly like the hash-striped map.
 
 import (
+	"slices"
 	"sort"
 
 	"tcc/internal/collections"
-	"tcc/internal/semlock"
 	"tcc/internal/stm"
 )
 
@@ -106,23 +106,22 @@ func SampleRangeBoundaries[K comparable](sample []K, cmp func(a, b K) int, strip
 // stripe's lower edge. Caller holds stripe si's guard and guarantees
 // *k lies in stripe si.
 func (t *TransactionalSortedMap[K, V]) bufferCeilingInStripe(l *mapLocal[K, V], si int, k *K, strict bool) (K, bool) {
-	var cand K
-	var ok bool
+	keys := l.sortedKeys
+	var i int
 	switch {
-	case k != nil && strict:
-		cand, ok = l.sortedKeys.HigherKey(*k)
 	case k != nil:
-		cand, ok = l.sortedKeys.CeilingKey(*k)
-	case si == 0:
-		cand, ok = l.sortedKeys.FirstKey()
-	default:
-		cand, ok = l.sortedKeys.CeilingKey(t.sorted.boundaries[si-1])
-	}
-	for ok && t.sorted.stripeFor(cand) == si {
-		if w := l.storeBuffer[cand]; w != nil && !w.removed {
-			return cand, true
+		var exact bool
+		i, exact = slices.BinarySearchFunc(keys, *k, t.sorted.cmp)
+		if exact && strict {
+			i++
 		}
-		cand, ok = l.sortedKeys.HigherKey(cand)
+	case si > 0:
+		i, _ = slices.BinarySearchFunc(keys, t.sorted.boundaries[si-1], t.sorted.cmp)
+	}
+	for ; i < len(keys) && t.sorted.stripeFor(keys[i]) == si; i++ {
+		if !l.buffered(keys[i]).removed {
+			return keys[i], true
+		}
 	}
 	var zero K
 	return zero, false
@@ -130,24 +129,24 @@ func (t *TransactionalSortedMap[K, V]) bufferCeilingInStripe(l *mapLocal[K, V], 
 
 // bufferFloorInStripe is the descending mirror of bufferCeilingInStripe.
 func (t *TransactionalSortedMap[K, V]) bufferFloorInStripe(l *mapLocal[K, V], si int, k *K, strict bool) (K, bool) {
-	var cand K
-	var ok bool
+	keys := l.sortedKeys
+	i := len(keys) - 1
 	switch {
-	case k != nil && strict:
-		cand, ok = l.sortedKeys.LowerKey(*k)
 	case k != nil:
-		cand, ok = l.sortedKeys.FloorKey(*k)
-	case si == len(t.stripes)-1:
-		cand, ok = l.sortedKeys.LastKey()
-	default:
-		// Keys below boundaries[si] belong to stripes <= si.
-		cand, ok = l.sortedKeys.LowerKey(t.sorted.boundaries[si])
-	}
-	for ok && t.sorted.stripeFor(cand) == si {
-		if w := l.storeBuffer[cand]; w != nil && !w.removed {
-			return cand, true
+		var exact bool
+		i, exact = slices.BinarySearchFunc(keys, *k, t.sorted.cmp)
+		if !exact || strict {
+			i--
 		}
-		cand, ok = l.sortedKeys.LowerKey(cand)
+	case si < len(t.stripes)-1:
+		// Keys below boundaries[si] belong to stripes <= si.
+		i, _ = slices.BinarySearchFunc(keys, t.sorted.boundaries[si], t.sorted.cmp)
+		i--
+	}
+	for ; i >= 0 && t.sorted.stripeFor(keys[i]) == si; i-- {
+		if !l.buffered(keys[i]).removed {
+			return keys[i], true
+		}
 	}
 	var zero K
 	return zero, false
@@ -159,7 +158,6 @@ func (t *TransactionalSortedMap[K, V]) bufferFloorInStripe(l *mapLocal[K, V], si
 // buffered additions. Caller holds stripe si's guard.
 func (t *TransactionalSortedMap[K, V]) mergedCeilingInStripe(l *mapLocal[K, V], si int, k *K, strict bool) (K, bool) {
 	sm := t.sorted.sms[si]
-	var committed *K
 	var c K
 	var ok bool
 	switch {
@@ -171,31 +169,20 @@ func (t *TransactionalSortedMap[K, V]) mergedCeilingInStripe(l *mapLocal[K, V], 
 		c, ok = sm.CeilingKey(*k)
 	}
 	for ok {
-		if w, buffered := l.storeBuffer[c]; buffered && w.removed {
-			c, ok = sm.HigherKey(c)
-			continue
+		if w := l.buffered(c); w == nil || !w.removed {
+			break
 		}
-		cc := c
-		committed = &cc
-		break
+		c, ok = sm.HigherKey(c)
 	}
-	best := committed
-	if bk, bok := t.bufferCeilingInStripe(l, si, k, strict); bok {
-		if best == nil || t.sorted.cmp(bk, *best) < 0 {
-			best = &bk
-		}
+	if bk, bok := t.bufferCeilingInStripe(l, si, k, strict); bok && (!ok || t.sorted.cmp(bk, c) < 0) {
+		return bk, true
 	}
-	if best == nil {
-		var zero K
-		return zero, false
-	}
-	return *best, true
+	return c, ok
 }
 
 // mergedFloorInStripe is the descending mirror of mergedCeilingInStripe.
 func (t *TransactionalSortedMap[K, V]) mergedFloorInStripe(l *mapLocal[K, V], si int, k *K, strict bool) (K, bool) {
 	sm := t.sorted.sms[si]
-	var committed *K
 	var c K
 	var ok bool
 	switch {
@@ -207,25 +194,15 @@ func (t *TransactionalSortedMap[K, V]) mergedFloorInStripe(l *mapLocal[K, V], si
 		c, ok = sm.FloorKey(*k)
 	}
 	for ok {
-		if w, buffered := l.storeBuffer[c]; buffered && w.removed {
-			c, ok = sm.LowerKey(c)
-			continue
+		if w := l.buffered(c); w == nil || !w.removed {
+			break
 		}
-		cc := c
-		committed = &cc
-		break
+		c, ok = sm.LowerKey(c)
 	}
-	best := committed
-	if bk, bok := t.bufferFloorInStripe(l, si, k, strict); bok {
-		if best == nil || t.sorted.cmp(bk, *best) > 0 {
-			best = &bk
-		}
+	if bk, bok := t.bufferFloorInStripe(l, si, k, strict); bok && (!ok || t.sorted.cmp(bk, c) > 0) {
+		return bk, true
 	}
-	if best == nil {
-		var zero K
-		return zero, false
-	}
-	return *best, true
+	return c, ok
 }
 
 // walkUp finds the smallest live key >= *from (> when strict), or the
@@ -257,21 +234,16 @@ func (t *TransactionalSortedMap[K, V]) walkUp(tx *stm.Tx, from *K, strict bool) 
 			st.guard.Lock()
 			defer st.guard.Unlock()
 			h := o.Handle()
-			e := &semlock.RangeEntry[K]{Owner: h}
-			var k *K
+			e := l.rangeEntry(h)
 			if si == start && from != nil {
-				lo := *from
-				e.Lo = &lo
-				e.LoExcl = strict
-				k = &lo
+				e.SetLo(*from, strict)
 			}
-			if r, ok := t.mergedCeilingInStripe(l, si, k, strict); ok {
-				rr := r
-				e.Hi = &rr
+			if r, ok := t.mergedCeilingInStripe(l, si, e.Lo, strict); ok {
+				e.SetHi(r, false)
 				if from != nil {
-					t.lockKeyLocked(l, h, rr)
+					t.lockKeyLocked(l, h, r)
 				}
-				res, found = rr, true
+				res, found = r, true
 			}
 			// Not found: e.Hi stays nil — the stripe's whole remaining
 			// interval was observed empty.
@@ -302,21 +274,16 @@ func (t *TransactionalSortedMap[K, V]) walkDown(tx *stm.Tx, from *K, strict bool
 			st.guard.Lock()
 			defer st.guard.Unlock()
 			h := o.Handle()
-			e := &semlock.RangeEntry[K]{Owner: h}
-			var k *K
+			e := l.rangeEntry(h)
 			if si == start && from != nil {
-				hi := *from
-				e.Hi = &hi
-				e.HiExcl = strict
-				k = &hi
+				e.SetHi(*from, strict)
 			}
-			if r, ok := t.mergedFloorInStripe(l, si, k, strict); ok {
-				rr := r
-				e.Lo = &rr
+			if r, ok := t.mergedFloorInStripe(l, si, e.Hi, strict); ok {
+				e.SetLo(r, false)
 				if from != nil {
-					t.lockKeyLocked(l, h, rr)
+					t.lockKeyLocked(l, h, r)
 				}
-				res, found = rr, true
+				res, found = r, true
 			}
 			t.addRangeLock(l, si, e)
 			return nil
@@ -347,18 +314,17 @@ func (it *SortedIterator[K, V]) advance() (K, V, bool) {
 			h := o.Handle()
 			e := it.slocks[si]
 			if e == nil {
-				e = &semlock.RangeEntry[K]{Owner: h}
+				e = l.rangeEntry(h)
 				if it.lo != nil && t.sorted.stripeFor(*it.lo) == si {
-					lo := *it.lo
-					e.Lo = &lo
+					e.SetLo(*it.lo, false)
 				}
 				it.slocks[si] = e
 				t.addRangeLock(l, si, e)
 			}
 			var from *K
 			strict := false
-			if it.last != nil && t.sorted.stripeFor(*it.last) == si {
-				from, strict = it.last, true
+			if it.hasLast && t.sorted.stripeFor(it.last) == si {
+				from, strict = &it.last, true
 			} else if e.Lo != nil {
 				from = e.Lo
 			}
@@ -368,11 +334,9 @@ func (it *SortedIterator[K, V]) advance() (K, V, bool) {
 			}
 			if ok {
 				t.lockKeyLocked(l, h, res)
-				kk := res
-				e.Hi = &kk
-				e.HiExcl = false
-				it.last = &kk
-				if w, buffered := l.storeBuffer[res]; buffered {
+				e.SetHi(res, false)
+				it.last, it.hasLast = res, true
+				if w := l.buffered(res); w != nil {
 					outK, outV, found = res, w.val, true
 				} else {
 					v, _ := t.sorted.sms[si].Get(res)
@@ -384,9 +348,7 @@ func (it *SortedIterator[K, V]) advance() (K, V, bool) {
 			if it.hi != nil && t.sorted.stripeFor(*it.hi) == si {
 				// The view bound lies in this stripe: pin the entry to
 				// it ([.., hi) observed empty) and stop the scan.
-				hi := *it.hi
-				e.Hi = &hi
-				e.HiExcl = true
+				e.SetHi(*it.hi, true)
 				it.si = n
 			} else {
 				// Extend to the stripe's upper edge and move on.
@@ -406,34 +368,43 @@ func (it *SortedIterator[K, V]) advance() (K, V, bool) {
 // multi-stripe commit is seen entirely or not at all. Like snapshotGet
 // it answers per operation (DESIGN.md §4.4) on every layout.
 func (t *TransactionalSortedMap[K, V]) snapshotFirstKey(tx *stm.Tx) (K, bool) {
-	var res K
-	var ok bool
-	t.lockGuards()
-	for _, sm := range t.sorted.sms {
-		if k, has := sm.FirstKey(); has {
-			res, ok = k, true
-			break
-		}
-	}
-	t.unlockGuards()
+	res, ok := t.committedFirstKey()
 	tx.Thread().Clock.Tick(t.opCost)
 	return res, ok
 }
 
-// snapshotLastKey is the descending mirror of snapshotFirstKey.
-func (t *TransactionalSortedMap[K, V]) snapshotLastKey(tx *stm.Tx) (K, bool) {
-	var res K
-	var ok bool
+// committedFirstKey reads the committed minimum under every guard,
+// released by defer (see committedGet).
+func (t *TransactionalSortedMap[K, V]) committedFirstKey() (K, bool) {
 	t.lockGuards()
-	for si := len(t.sorted.sms) - 1; si >= 0; si-- {
-		if k, has := t.sorted.sms[si].LastKey(); has {
-			res, ok = k, true
-			break
+	defer t.unlockGuards()
+	for _, sm := range t.sorted.sms {
+		if k, ok := sm.FirstKey(); ok {
+			return k, true
 		}
 	}
-	t.unlockGuards()
+	var zero K
+	return zero, false
+}
+
+// snapshotLastKey is the descending mirror of snapshotFirstKey.
+func (t *TransactionalSortedMap[K, V]) snapshotLastKey(tx *stm.Tx) (K, bool) {
+	res, ok := t.committedLastKey()
 	tx.Thread().Clock.Tick(t.opCost)
 	return res, ok
+}
+
+// committedLastKey is the descending mirror of committedFirstKey.
+func (t *TransactionalSortedMap[K, V]) committedLastKey() (K, bool) {
+	t.lockGuards()
+	defer t.unlockGuards()
+	for si := len(t.sorted.sms) - 1; si >= 0; si-- {
+		if k, ok := t.sorted.sms[si].LastKey(); ok {
+			return k, true
+		}
+	}
+	var zero K
+	return zero, false
 }
 
 // snapshotCeiling answers CeilingKey/HigherKey for a snapshot
@@ -441,12 +412,20 @@ func (t *TransactionalSortedMap[K, V]) snapshotLastKey(tx *stm.Tx) (K, bool) {
 // stripe the query could span held at once (ascending, so the hold is
 // compatible with the commit protocol's sorted footprint acquisition).
 func (t *TransactionalSortedMap[K, V]) snapshotCeiling(tx *stm.Tx, k K, strict bool) (K, bool) {
+	res, ok := t.committedCeiling(k, strict)
+	tx.Thread().Clock.Tick(t.opCost)
+	return res, ok
+}
+
+// committedCeiling reads the committed ceiling (higher, when strict)
+// of k under the guards of k's stripe and every stripe above it,
+// released by defer (see committedGet).
+func (t *TransactionalSortedMap[K, V]) committedCeiling(k K, strict bool) (K, bool) {
 	lo := t.sorted.stripeFor(k)
 	hi := len(t.stripes) - 1
-	var res K
-	var found bool
 	t.lockStripeSpan(lo, hi)
-	for si := lo; si <= hi && !found; si++ {
+	defer t.unlockStripeSpan(lo, hi)
+	for si := lo; si <= hi; si++ {
 		sm := t.sorted.sms[si]
 		var c K
 		var ok bool
@@ -459,21 +438,26 @@ func (t *TransactionalSortedMap[K, V]) snapshotCeiling(tx *stm.Tx, k K, strict b
 			c, ok = sm.CeilingKey(k)
 		}
 		if ok {
-			res, found = c, true
+			return c, true
 		}
 	}
-	t.unlockStripeSpan(lo, hi)
-	tx.Thread().Clock.Tick(t.opCost)
-	return res, found
+	var zero K
+	return zero, false
 }
 
 // snapshotFloor is the descending mirror of snapshotCeiling.
 func (t *TransactionalSortedMap[K, V]) snapshotFloor(tx *stm.Tx, k K, strict bool) (K, bool) {
+	res, ok := t.committedFloor(k, strict)
+	tx.Thread().Clock.Tick(t.opCost)
+	return res, ok
+}
+
+// committedFloor is the descending mirror of committedCeiling.
+func (t *TransactionalSortedMap[K, V]) committedFloor(k K, strict bool) (K, bool) {
 	hi := t.sorted.stripeFor(k)
-	var res K
-	var found bool
 	t.lockStripeSpan(0, hi)
-	for si := hi; si >= 0 && !found; si-- {
+	defer t.unlockStripeSpan(0, hi)
+	for si := hi; si >= 0; si-- {
 		sm := t.sorted.sms[si]
 		var c K
 		var ok bool
@@ -486,10 +470,9 @@ func (t *TransactionalSortedMap[K, V]) snapshotFloor(tx *stm.Tx, k K, strict boo
 			c, ok = sm.FloorKey(k)
 		}
 		if ok {
-			res, found = c, true
+			return c, true
 		}
 	}
-	t.unlockStripeSpan(0, hi)
-	tx.Thread().Clock.Tick(t.opCost)
-	return res, found
+	var zero K
+	return zero, false
 }

@@ -56,3 +56,26 @@ func TestRangeTableViolateCoveringNoAlloc(t *testing.T) {
 		t.Fatalf("RangeTable.ViolateCovering allocates %v per sweep, want 0", n)
 	}
 }
+
+// TestKeyTableLockUnlockNoAlloc holds the owner representation's
+// promise: locking a key nobody holds and unlocking it again allocates
+// nothing once the table's map has grown — the owner is stored in the
+// table itself, not in a per-key owner set. Every cycle uses a fresh
+// key, as a stream of transactions over a large key space does.
+func TestKeyTableLockUnlockNoAlloc(t *testing.T) {
+	kt := NewKeyTable[int]()
+	o := activeHandle()
+	kt.Lock(-1, o)
+	kt.Unlock(-1, o)
+	k := 0
+	if n := testing.AllocsPerRun(1000, func() {
+		kt.Lock(k, o)
+		kt.Unlock(k, o)
+		k++
+	}); n != 0 {
+		t.Fatalf("KeyTable Lock/Unlock of a fresh key allocates %v, want 0", n)
+	}
+	if len(kt.first) != 0 {
+		t.Fatalf("%d keys still locked", len(kt.first))
+	}
+}

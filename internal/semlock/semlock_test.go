@@ -71,8 +71,8 @@ func TestKeyTableBasics(t *testing.T) {
 	if kt.Locked("x") {
 		t.Fatal("key still locked after all unlocks")
 	}
-	if len(kt.lockers) != 1 {
-		t.Fatalf("empty key entries not reclaimed: %d", len(kt.lockers))
+	if len(kt.first) != 1 || kt.extra != nil {
+		t.Fatalf("empty key entries not reclaimed: %d keys, extra owners %v", len(kt.first), kt.extra)
 	}
 	kt.Unlock("z", a) // unlocking unknown key is a no-op
 }
@@ -239,5 +239,75 @@ func TestRangeTableExclusiveLowerBound(t *testing.T) {
 	inclusive := &RangeEntry[int]{Lo: &lo, Hi: &hi}
 	if !rt.Covers(inclusive, 10) {
 		t.Fatal("inclusive lower bound missed its endpoint")
+	}
+}
+
+// TestKeyTableSharedKeyOwners exercises a key held by several owners:
+// the first owner lives in the table's map and the others in the
+// overflow slices, which must be promoted, removed and dropped
+// correctly whatever order the owners unlock in.
+func TestKeyTableSharedKeyOwners(t *testing.T) {
+	for _, order := range [][3]int{{0, 1, 2}, {2, 1, 0}, {1, 0, 2}, {1, 2, 0}} {
+		kt := NewKeyTable[int]()
+		hs := [3]Owner{activeHandle(), activeHandle(), activeHandle()}
+		for _, h := range hs {
+			if !kt.Lock(5, h) {
+				t.Fatal("first Lock reported the owner as already holding")
+			}
+			if kt.Lock(5, h) {
+				t.Fatal("re-Lock reported a new owner")
+			}
+		}
+		for i, idx := range order {
+			kt.Unlock(5, hs[idx])
+			if kt.Holds(5, hs[idx]) {
+				t.Fatalf("order %v: owner %d still holds after Unlock", order, idx)
+			}
+			for _, rest := range order[i+1:] {
+				if !kt.Holds(5, hs[rest]) {
+					t.Fatalf("order %v: unlocking %d dropped owner %d", order, idx, rest)
+				}
+			}
+		}
+		if kt.Locked(5) || len(kt.first) != 0 || kt.extra != nil {
+			t.Fatalf("order %v: entries not reclaimed (len %d, extra %v)", order, len(kt.first), kt.extra)
+		}
+	}
+}
+
+// TestKeyTableViolateOthersCountsExtraOwners: a committing writer
+// violates every other owner of the key, whichever map holds it.
+func TestKeyTableViolateOthersCountsExtraOwners(t *testing.T) {
+	kt := NewKeyTable[int]()
+	first, self, extra := activeHandle(), activeHandle(), activeHandle()
+	kt.Lock(1, first)
+	kt.Lock(1, self)
+	kt.Lock(1, extra)
+	if n := kt.ViolateOthers(1, self, "key conflict"); n != 2 {
+		t.Fatalf("violated %d, want 2", n)
+	}
+	if first.Status() != stm.StatusViolated || extra.Status() != stm.StatusViolated || self.Status() != stm.StatusActive {
+		t.Fatal("wrong owners violated")
+	}
+}
+
+// TestRangeEntryInlineBounds: bounds set through SetLo/SetHi live in
+// the entry, survive widening in place, and Reset clears them.
+func TestRangeEntryInlineBounds(t *testing.T) {
+	rt := NewRangeTable[int](func(a, b int) int { return a - b })
+	o := activeHandle()
+	e := &RangeEntry[int]{Owner: o}
+	e.SetLo(10, true)
+	e.SetHi(20, false)
+	if rt.Covers(e, 10) || !rt.Covers(e, 11) || !rt.Covers(e, 20) || rt.Covers(e, 21) {
+		t.Fatal("inline bounds (10, 20] not honored")
+	}
+	e.SetHi(30, true)
+	if !rt.Covers(e, 29) || rt.Covers(e, 30) {
+		t.Fatal("widened bound [.., 30) not honored")
+	}
+	e.Reset(o)
+	if e.Lo != nil || e.Hi != nil || e.Owner != o || !rt.Covers(e, -1000) {
+		t.Fatal("Reset left bounds behind")
 	}
 }

@@ -170,3 +170,25 @@ func TestStatsAddMergesReasonMaps(t *testing.T) {
 		t.Fatalf("reason map = %v", a.ViolationsByReason)
 	}
 }
+
+// TestRecycledSlotsBounded: a thread keeps recycled state for a fixed
+// number of keys, overwriting the oldest entry when it is full.
+func TestRecycledSlotsBounded(t *testing.T) {
+	th := NewThread(&RealClock{}, 1)
+	keys := make([]*int, recycleSlots+1)
+	for i := range keys {
+		keys[i] = new(int)
+		if th.Recycled(keys[i]) != nil {
+			t.Fatalf("key %d recycled before Recycle", i)
+		}
+		th.Recycle(keys[i], i)
+	}
+	if th.Recycled(keys[0]) != nil {
+		t.Fatal("the oldest key survived a full table")
+	}
+	for i := 1; i < len(keys); i++ {
+		if got := th.Recycled(keys[i]); got != i {
+			t.Fatalf("key %d: Recycled = %v, want %d", i, got, i)
+		}
+	}
+}

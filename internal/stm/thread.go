@@ -134,6 +134,49 @@ type Thread struct {
 	// violate) its handle across attempts — reusing one per thread is
 	// what makes the snapshot path allocation-free.
 	snapHandle *Handle
+	// recycled keeps per-collection transaction state across
+	// transactions (see Recycled); recycleNext is the slot the next
+	// Recycle overwrites.
+	recycled    [recycleSlots]recycleSlot
+	recycleNext int
+}
+
+// recycleSlots bounds how many collections' state one Thread keeps for
+// reuse. A worker that cycles through more collections than this
+// re-allocates the state of the ones evicted; it never pins more.
+const recycleSlots = 16
+
+// recycleSlot is one entry of a Thread's recycled-state table.
+type recycleSlot struct {
+	key, val any
+}
+
+// Recycled returns the state last kept under key on this thread with
+// Recycle, or nil. The transactional collections keep their
+// per-transaction local state (paper Tables 3, 6, 9) here, keyed by the
+// collection, so that a worker's next transaction on the same
+// collection reuses the buffers, lock lists and handler pair of its
+// last one instead of allocating them again — the same recycling the
+// Thread applies to Tx objects and nesting levels. The state is the
+// caller's to reset; the Thread only holds it.
+func (t *Thread) Recycled(key any) any {
+	for i := range t.recycled {
+		if t.recycled[i].key == key {
+			return t.recycled[i].val
+		}
+	}
+	return nil
+}
+
+// Recycle keeps val under key (a pointer identifying the collection)
+// for later transactions on this thread. The table is a fixed array of
+// recycleSlots entries, overwritten round-robin, so a long-lived thread
+// that touches many short-lived collections retains the state — and
+// with it the collections — of at most the last recycleSlots of them.
+// Call it only for a key Recycled does not hold.
+func (t *Thread) Recycle(key, val any) {
+	t.recycled[t.recycleNext] = recycleSlot{key: key, val: val}
+	t.recycleNext = (t.recycleNext + 1) % recycleSlots
 }
 
 // sortedGuards gathers the union of the given guard lists into the

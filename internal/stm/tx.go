@@ -765,9 +765,7 @@ func (tx *Tx) commit() bool {
 		panic("stm: commit with open nested level")
 	}
 	gs := tx.thread.sortedGuards(l.commitGuards, l.abortGuards)
-	acquireGuards(tx, gs)
-	ok := tx.commitGuarded(l)
-	releaseGuards(gs)
+	ok := tx.commitUnderGuards(l, gs)
 	tx.countGuardWaits()
 	tx.emitGuardWaits()
 	if ok {
@@ -775,6 +773,16 @@ func (tx *Tx) commit() bool {
 		tx.thread.flushDeferred()
 	}
 	return ok
+}
+
+// commitUnderGuards runs commitGuarded with the guard footprint gs
+// held. The release is deferred, so a commit handler that panics frees
+// the footprint before the panic leaves commit — otherwise the next
+// transaction on any of those guards would block forever.
+func (tx *Tx) commitUnderGuards(l *level, gs []*Guard) bool {
+	acquireGuards(tx, gs)
+	defer releaseGuards(gs)
+	return tx.commitGuarded(l)
 }
 
 // commitGuarded performs validation, installation and handler execution
@@ -868,14 +876,20 @@ func (tx *Tx) rollback() {
 		}
 	}
 	t.guardBuf = buf
-	gs := sortGuards(buf)
-	acquireGuards(tx, gs)
-	for l := tx.cur; l != nil; l = l.parent {
-		l.runAbortHandlers()
-	}
-	releaseGuards(gs)
+	tx.abortUnderGuards(sortGuards(buf))
 	tx.countGuardWaits()
 	tx.emitGuardWaits()
 	tx.tick(CostAbort)
 	t.flushDeferred()
+}
+
+// abortUnderGuards runs every level's abort handlers with the abort
+// footprint gs held, releasing it by defer so a panicking abort handler
+// cannot leak it (see commitUnderGuards).
+func (tx *Tx) abortUnderGuards(gs []*Guard) {
+	acquireGuards(tx, gs)
+	defer releaseGuards(gs)
+	for l := tx.cur; l != nil; l = l.parent {
+		l.runAbortHandlers()
+	}
 }

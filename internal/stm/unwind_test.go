@@ -5,10 +5,12 @@ package stm
 // child rolls the attempt back before it propagates.
 
 import (
+	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestViolationRaceAttribution races a violator against victims that
@@ -136,6 +138,68 @@ func TestPanicUnwindsAttempt(t *testing.T) {
 				}
 				if th.Stats.Aborts != 0 || th.Stats.Violations != 0 {
 					t.Fatalf("writer after the panic retried: %+v", th.Stats)
+				}
+			})
+		}
+	}
+}
+
+// TestHandlerPanicReleasesGuards: a commit handler or an abort handler
+// that panics runs with the transaction's guard footprint held; the
+// footprint must be released before the panic leaves the STM, so the
+// next transaction on the same guard does not block forever.
+func TestHandlerPanicReleasesGuards(t *testing.T) {
+	type boom struct{ where string }
+	errRollback := errors.New("roll back")
+	for _, proto := range Protocols() {
+		for _, where := range []string{"commit", "abort", "abort-after-body-panic"} {
+			t.Run(proto+"/"+where, func(t *testing.T) {
+				g := NewGuard()
+				v := NewVar(0)
+				th := protoThread(t, proto, 1)
+				got := func() (r any) {
+					defer func() { r = recover() }()
+					_ = th.Atomic(func(tx *Tx) error {
+						v.Set(tx, 1)
+						switch where {
+						case "commit":
+							tx.OnCommitGuarded(g, func() { panic(boom{where}) })
+							return nil
+						case "abort":
+							tx.OnAbortGuarded(g, func() { panic(boom{where}) })
+							return errRollback
+						default:
+							tx.OnAbortGuarded(g, func() { panic(boom{where}) })
+							panic("body")
+						}
+					})
+					return nil
+				}()
+				if got != (boom{where}) {
+					t.Fatalf("recovered %v, want the handler's panic value", got)
+				}
+				done := make(chan error, 1)
+				go func() {
+					done <- th.Atomic(func(tx *Tx) error {
+						v.Set(tx, v.Get(tx)+10)
+						tx.OnCommitGuarded(g, func() {})
+						return nil
+					})
+				}()
+				select {
+				case err := <-done:
+					if err != nil {
+						t.Fatal(err)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatal("next transaction on the guard blocked: the footprint leaked")
+				}
+				want := 10
+				if where == "commit" {
+					want = 11 // the memory commit preceded the handler
+				}
+				if v.GetCommitted() != want {
+					t.Fatalf("v = %d, want %d", v.GetCommitted(), want)
 				}
 			})
 		}

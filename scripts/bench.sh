@@ -27,8 +27,9 @@ note=${BENCH_NOTE:-}
   # Wall-clock operation benches, simulator figure regenerations, and
   # the root-level STM demonstration benches: the striped hot-map pair,
   # the range-striped sorted-map pair (BenchmarkSTMHotSortedMap[SingleGuard]),
-  # and the segmented-queue pair (BenchmarkSTMHotQueueDisjointLanes[SingleLane]).
-  go test -run '^$' -bench 'BenchmarkReal|BenchmarkFigure|BenchmarkSTM' -benchmem -benchtime "$time" -count "$count" .
+  # and the segmented-queue pair (BenchmarkSTMHotQueueDisjointLanes[SingleLane]),
+  # plus the layer-by-layer Get/Put ladder (BenchmarkLadder).
+  go test -run '^$' -bench 'BenchmarkReal|BenchmarkFigure|BenchmarkSTM|BenchmarkLadder' -benchmem -benchtime "$time" -count "$count" .
   # Synchrobench-style protocol sweep (protocol × collection × update
   # ratio × goroutine count), including the striped-sortedmap and
   # segmented-queue (lanequeue) columns; its stdout is bench-format

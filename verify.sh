@@ -54,11 +54,18 @@ echo "== striped-sortedmap + segmented-queue smoke (disjoint windows overlap, al
 go test -run 'TestRangeStripedDisjointRangeHandlerWindowsOverlap|TestRangeStripedScanSerializability|TestSegmentedQueueDisjointLaneHandlerWindowsOverlap|TestSegmentedQueueLaneFIFO|TestStripedStructuresAcrossProtocols|TestEndpointValueUpdateCommutes' \
   -count=1 ./internal/core >/dev/null
 
-echo "== unwind smoke (violation reasons race-free, panics release locks, all protocols)"
+echo "== unwind smoke (violation reasons race-free, body and handler panics release locks and guards, all protocols)"
 go test -race -run 'TestViolationRaceAttribution|TestPanicUnwindsAttempt' \
   -count=1 ./internal/stm >/dev/null
-go test -race -run 'TestPanicReleasesSemanticLocks|TestComparatorPanicReleasesGuard' \
+go test -race -run 'TestPanicReleasesSemanticLocks|TestComparatorPanicReleasesGuard|TestHandlerPanicReleasesGuards|TestCommitHandlerComparatorPanic' \
   -count=1 ./internal/core >/dev/null
+go test -race -run 'TestHandlerPanicReleasesGuards' -count=1 ./internal/stm >/dev/null
+
+echo "== allocation guardrails (collection fast path and lock tables, no -race)"
+# AllocsPerRun budgets: a warm thread's retry-path transaction on a
+# collection allocates its stm.Handle and nothing else of its own.
+go test -run 'FastPathAllocs|TestRecycledLocalAfterFallback' -count=1 ./internal/core >/dev/null
+go test -run 'NoAlloc' -count=1 ./internal/semlock >/dev/null
 
 echo "== tccbench smoke (figure 1, tiny config)"
 go run ./cmd/tccbench -fig 1 -ops 64 -cpus 1,2 >/dev/null
